@@ -47,6 +47,7 @@
 use mtk_core::cluster::{exclusive_partition, size_clusters_for_target};
 use mtk_core::health::{FailurePolicy, FaultPlan};
 use mtk_core::hybrid::{run_hybrid, HybridOptions, SpiceRunConfig};
+use mtk_core::record::REQUEST_RECORD_TAG;
 use mtk_core::sizing::{screen_vectors_par_quarantined, size_for_target_cached, ScreeningCache};
 use mtk_core::vbsim::{Engine, VbsimOptions};
 use mtk_fe::Design;
@@ -59,11 +60,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Tag prefix of request-level records in the store, versioned
-/// separately from the container: bump when the request fingerprint or
-/// payload layout changes so stale records read as misses.
-const REQUEST_RECORD_TAG: &[u8; 5] = b"req2:";
 
 /// Knobs of one server instance. `Default` is tuned for tests and the
 /// CI smoke; production raises the timeouts and slots.

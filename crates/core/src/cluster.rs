@@ -35,6 +35,7 @@ use crate::health::{
     RETRY_BUDGET_FACTOR,
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
+use crate::record;
 use crate::sizing::Transition;
 use crate::vbsim::{Engine, PartitionedSleep, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
@@ -228,114 +229,6 @@ pub fn exclusive_partition(
     })
 }
 
-/// Tag prefix of cluster-evaluation records in a persistent store,
-/// versioned separately from the store container format: bump when the
-/// key or value encoding changes so stale records read as misses, never
-/// as wrong answers. Distinct from the screening (`leg1`), serve
-/// (`req1:`) and Monte Carlo (`mct1`) namespaces sharing the same log.
-pub const CLUSTER_RECORD_TAG: &[u8; 4] = b"clu1";
-
-/// FNV-1a, the same hash family the netlist fingerprint uses.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
-/// The shared store-key prefix of every evaluation of one co-optimise
-/// call at one breakpoint budget: record tag, netlist and technology
-/// fingerprints, then a digest over probes, transitions, assignment and
-/// the [`VbsimOptions`] fields the simulator reads. The per-evaluation
-/// suffix is the sizes vector itself.
-fn eval_prefix(
-    engine: &Engine<'_>,
-    outputs: &[NetId],
-    transitions: &[Transition],
-    assignment: &[usize],
-    base: &VbsimOptions,
-) -> Vec<u8> {
-    let mut d = Digest::new();
-    d.write_u64(outputs.len() as u64);
-    for n in outputs {
-        d.write_u64(n.index() as u64);
-    }
-    let level = |l: &Logic| match l {
-        Logic::Zero => 0u8,
-        Logic::One => 1,
-        Logic::X => 2,
-    };
-    d.write_u64(transitions.len() as u64);
-    for tr in transitions {
-        d.write_u64(tr.from.len() as u64);
-        for l in tr.from.iter().chain(&tr.to) {
-            d.write(&[level(l)]);
-        }
-    }
-    d.write_u64(assignment.len() as u64);
-    for &g in assignment {
-        d.write_u64(g as u64);
-    }
-    d.write(&[base.body_effect as u8, base.reverse_conduction as u8]);
-    d.write_u64(base.t_stop.to_bits());
-    d.write_u64(base.max_events as u64);
-    let mut out = Vec::with_capacity(4 + 24);
-    out.extend_from_slice(CLUSTER_RECORD_TAG);
-    out.extend_from_slice(&engine.fingerprint().to_le_bytes());
-    out.extend_from_slice(&engine.tech().fingerprint().to_le_bytes());
-    out.extend_from_slice(&d.0.to_le_bytes());
-    out
-}
-
-/// Byte encoding of one stored evaluation: the worst degradation and
-/// every [`RunHealth`] counter — the stored health is what makes a warm
-/// rerun's telemetry bit-identical to the cold one.
-fn encode_eval(worst: f64, health: &RunHealth) -> Vec<u8> {
-    let mut out = Vec::with_capacity(56);
-    out.extend_from_slice(&worst.to_bits().to_le_bytes());
-    for v in [
-        health.breakpoints,
-        health.max_events,
-        health.glitch_reversals,
-        health.vx_fallbacks,
-        health.cache_hits,
-        health.cache_misses,
-    ] {
-        out.extend_from_slice(&(v as u64).to_le_bytes());
-    }
-    out
-}
-
-/// Inverse of [`encode_eval`]; `None` on any shape mismatch — a
-/// malformed record is a miss, never an answer.
-fn decode_eval(bytes: &[u8]) -> Option<(f64, RunHealth)> {
-    if bytes.len() != 56 {
-        return None;
-    }
-    let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
-    Some((
-        f64::from_bits(word(0)),
-        RunHealth {
-            breakpoints: word(1) as usize,
-            max_events: word(2) as usize,
-            glitch_reversals: word(3) as usize,
-            vx_fallbacks: word(4) as usize,
-            cache_hits: word(5) as usize,
-            cache_misses: word(6) as usize,
-        },
-    ))
-}
-
 /// Worst degradation over the transitions for one per-cluster sizes
 /// vector, served from the store when an identical evaluation was
 /// recorded before (replaying its stored health), simulated and written
@@ -354,15 +247,9 @@ fn eval_worst(
     run: &mut RunHealth,
     stats: &mut WorkerStats,
 ) -> Result<f64, CoreError> {
-    let key: Vec<u8> = {
-        let mut k = prefix.to_vec();
-        for &s in sizes {
-            k.extend_from_slice(&s.to_bits().to_le_bytes());
-        }
-        k
-    };
+    let key = record::eval_key(prefix, sizes);
     if let Some(store) = store {
-        if let Some((worst, health)) = store.get(&key).and_then(|b| decode_eval(&b)) {
+        if let Some((worst, health)) = store.get(&key).and_then(|b| record::decode_eval(&b)) {
             run.absorb(&health);
             run.cache_hits += 1;
             stats.breakpoints += health.breakpoints as u64;
@@ -415,7 +302,7 @@ fn eval_worst(
                 run.cache_misses += 1;
                 // A failed write degrades to recompute-on-rerun; it is
                 // not an error.
-                let _ = store.put(&key, &encode_eval(worst, &local));
+                let _ = store.put(&key, &record::encode_eval(worst, &local));
             }
             Ok(worst)
         }
@@ -453,7 +340,7 @@ fn cluster_attempt(
     stats: &mut WorkerStats,
 ) -> Result<f64, CoreError> {
     fault.check(g, attempt)?;
-    let prefix = eval_prefix(engine, outputs, transitions, assignment, opts);
+    let prefix = record::eval_key_prefix(engine, outputs, transitions, assignment, opts);
     let (mut glo, mut ghi) = (lo, hi);
     for _ in 0..24 {
         let mid = (glo * ghi).sqrt();
@@ -648,7 +535,7 @@ impl ClusterReport {
 /// conservatively stays at `hi`.
 ///
 /// With `store`, every simulator evaluation is written through a
-/// persistent log under [`CLUSTER_RECORD_TAG`]; a warm rerun replays
+/// persistent log under [`record::CLUSTER_RECORD_TAG`]; a warm rerun replays
 /// every evaluation — stored health included — so its deterministic
 /// telemetry is bit-identical to the cold run apart from the
 /// hit/miss counters, and nothing is simulated.
@@ -697,7 +584,8 @@ pub fn size_clusters_for_target(
     let mut serial_scratch = VbsimScratch::new();
     let mut serial_run = RunHealth::default();
     let mut serial_stats = WorkerStats::default();
-    let prefix = eval_prefix(&engine, &outputs, transitions, &partition.assignment, base);
+    let prefix =
+        record::eval_key_prefix(&engine, &outputs, transitions, &partition.assignment, base);
     let serial_eval = |sizes: &[f64],
                        run: &mut RunHealth,
                        scratch: &mut VbsimScratch,
@@ -786,7 +674,8 @@ pub fn size_clusters_for_target(
     // budget across clusters, so the clustered candidate can genuinely
     // need more total width — in that case the single device wins.
     let single_assignment = vec![0usize; netlist.cells().len()];
-    let single_prefix = eval_prefix(&engine, &outputs, transitions, &single_assignment, base);
+    let single_prefix =
+        record::eval_key_prefix(&engine, &outputs, transitions, &single_assignment, base);
     let mut single_eval = |wl: f64, run: &mut RunHealth, scratch: &mut VbsimScratch| {
         eval_worst(
             &engine,
@@ -1116,42 +1005,18 @@ mod tests {
     }
 
     #[test]
-    fn eval_records_roundtrip_and_reject_malformed() {
-        let health = RunHealth {
-            breakpoints: 7,
-            max_events: 4096,
-            glitch_reversals: 2,
-            vx_fallbacks: 1,
-            cache_hits: 0,
-            cache_misses: 3,
-        };
-        let bytes = encode_eval(0.0375, &health);
-        assert_eq!(decode_eval(&bytes), Some((0.0375, health)));
-        assert_eq!(decode_eval(&bytes[..55]), None);
-        let mut long = bytes.clone();
-        long.push(0);
-        assert_eq!(decode_eval(&long), None);
-        // Infinity (a stalled evaluation) survives the roundtrip.
-        let inf = encode_eval(f64::INFINITY, &health);
-        assert_eq!(decode_eval(&inf).unwrap().0, f64::INFINITY);
-    }
-
-    #[test]
-    fn store_keys_do_not_alias_other_record_namespaces() {
+    fn clustered_and_flat_assignments_never_share_eval_keys() {
         let tree = InverterTree::paper();
         let tech = Technology::l07();
         let engine = Engine::new(&tree.netlist, &tech);
         let trs = [tr(&[Zero], &[One])];
         let outputs = tree.netlist.primary_outputs().to_vec();
         let assignment = vec![0usize; tree.netlist.cells().len()];
-        let prefix = eval_prefix(&engine, &outputs, &trs, &assignment, &VbsimOptions::cmos());
-        assert_eq!(&prefix[..4], CLUSTER_RECORD_TAG);
-        for other in [b"leg1" as &[u8], b"req1", b"mct1"] {
-            assert_ne!(&prefix[..4], other, "cluster records need their own tag");
-        }
-        // Different assignments (clustered vs flat) never share keys.
+        let prefix =
+            record::eval_key_prefix(&engine, &outputs, &trs, &assignment, &VbsimOptions::cmos());
+        assert_eq!(&prefix[..4], record::CLUSTER_RECORD_TAG);
         let clustered = exclusive_partition(&tree.netlist, &trs, 4).unwrap();
-        let p2 = eval_prefix(
+        let p2 = record::eval_key_prefix(
             &engine,
             &outputs,
             &trs,

@@ -31,6 +31,8 @@
 //!   leakage savings, and break-even idle time (§2.1's cost triangle).
 //! * [`modules`] — per-module sleep transistors and hierarchical sizing
 //!   (the paper's future-work direction).
+//! * [`record`] — the one byte codec for persistent store records: the
+//!   tag registry and the screening-leg, Monte Carlo and cluster layouts.
 //!
 //! # Example
 //!
@@ -70,6 +72,7 @@ pub mod mc;
 pub mod model;
 pub mod modules;
 pub mod par;
+pub mod record;
 pub mod search;
 pub mod sizing;
 pub mod sta;

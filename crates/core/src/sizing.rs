@@ -13,6 +13,7 @@ use crate::health::{
     RETRY_BUDGET_FACTOR,
 };
 use crate::par::{try_parallel_map_with, ItemPanic, WorkerStats};
+use crate::record;
 use crate::vbsim::{Engine, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
@@ -82,48 +83,15 @@ pub fn vbsim_delay_pair(
     sleep: SleepNetwork,
     base: &VbsimOptions,
 ) -> Result<Option<DelayPair>, CoreError> {
-    vbsim_delay_pair_stats(engine, tr, probes, sleep, base).map(|(pair, _)| pair)
-}
-
-/// [`vbsim_delay_pair`] plus the number of breakpoints the two runs
-/// solved — the cost counter the parallel screening/search engines report
-/// per worker.
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_stats(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sleep: SleepNetwork,
-    base: &VbsimOptions,
-) -> Result<(Option<DelayPair>, u64), CoreError> {
-    vbsim_delay_pair_health(engine, tr, probes, sleep, base)
-        .map(|(pair, health)| (pair, health.breakpoints as u64))
+    vbsim_delay_pair_health_with(engine, tr, probes, sleep, base, &mut VbsimScratch::new())
+        .map(|(pair, _)| pair)
 }
 
 /// [`vbsim_delay_pair`] plus the summed [`RunHealth`] of the CMOS and
 /// MTCMOS runs — the telemetry the quarantining sweeps aggregate into
-/// [`SweepHealth`].
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_health(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sleep: SleepNetwork,
-    base: &VbsimOptions,
-) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
-    vbsim_delay_pair_health_with(engine, tr, probes, sleep, base, &mut VbsimScratch::new())
-}
-
-/// [`vbsim_delay_pair_health`] with caller-owned simulator scratch (see
+/// [`SweepHealth`] — measured with caller-owned simulator scratch (see
 /// [`Engine::run_with`]): a sweep measuring many transitions reuses one
-/// scratch so the warm simulator loop allocates nothing. Results are
-/// bit-identical to the scratch-free call.
+/// scratch so the warm simulator loop allocates nothing.
 ///
 /// # Errors
 ///
@@ -173,16 +141,16 @@ fn leg_options(sleep: SleepNetwork, base: &VbsimOptions) -> VbsimOptions {
 /// what makes cached reruns bit-identical: a cache hit replays the
 /// original run's telemetry instead of re-measuring it.
 #[derive(Debug, Clone, PartialEq)]
-struct LegResult {
+pub(crate) struct LegResult {
     /// Per-probe last V<sub>dd</sub>/2 crossing time, index-aligned with
     /// the probe list; `None` when that probe never switched.
-    crossings: Vec<Option<f64>>,
+    pub(crate) crossings: Vec<Option<f64>>,
     /// The run stalled (a discharge path was cut off by the sleep device).
-    stalled: bool,
+    pub(crate) stalled: bool,
     /// The run hit its breakpoint budget before settling.
-    truncated: bool,
+    pub(crate) truncated: bool,
     /// The run's own health counters.
-    health: RunHealth,
+    pub(crate) health: RunHealth,
 }
 
 /// Runs one leg and condenses it to the measurements sizing needs.
@@ -238,189 +206,9 @@ fn pair_from_legs(cmos: &LegResult, mt: &LegResult) -> (Option<DelayPair>, RunHe
     )
 }
 
-/// The exact inputs that determine one leg's result: netlist and
-/// technology fingerprints, probes, transition, sleep network, and
-/// every [`VbsimOptions`] field the simulator reads. Two legs with
-/// equal keys produce bit-identical [`LegResult`]s, so a cache lookup
-/// can stand in for a re-simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct LegKey {
-    fingerprint: u64,
-    /// [`Technology::fingerprint`] of the engine's technology — the
-    /// same netlist under different process parameters must not share
-    /// cached legs.
-    tech: u64,
-    probes: Vec<usize>,
-    from: Vec<u8>,
-    to: Vec<u8>,
-    /// Discriminant plus bit pattern of the parameter (0 for CMOS).
-    sleep: (u8, u64),
-    body_effect: bool,
-    reverse_conduction: bool,
-    t_stop_bits: u64,
-    max_events: usize,
-}
-
-/// Tag prefix of leg records in a persistent store, versioned
-/// separately from the store container format: bump when the key or
-/// value encoding below changes so stale records read as misses (the
-/// key no longer matches), never as wrong answers.
-const LEG_RECORD_TAG: &[u8; 4] = b"leg1";
-
-impl LegKey {
-    /// Canonical byte encoding of the key for the persistent store:
-    /// tag, then every field little-endian with length-prefixed
-    /// variable parts. Equal keys encode to equal bytes and vice versa.
-    fn store_key(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.probes.len() * 8);
-        out.extend_from_slice(LEG_RECORD_TAG);
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.tech.to_le_bytes());
-        out.extend_from_slice(&(self.probes.len() as u32).to_le_bytes());
-        for &p in &self.probes {
-            out.extend_from_slice(&(p as u64).to_le_bytes());
-        }
-        out.extend_from_slice(&(self.from.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.from);
-        out.extend_from_slice(&(self.to.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.to);
-        out.push(self.sleep.0);
-        out.extend_from_slice(&self.sleep.1.to_le_bytes());
-        out.push(self.body_effect as u8);
-        out.push(self.reverse_conduction as u8);
-        out.extend_from_slice(&self.t_stop_bits.to_le_bytes());
-        out.extend_from_slice(&(self.max_events as u64).to_le_bytes());
-        out
-    }
-}
-
-impl LegResult {
-    /// Byte encoding of one stored leg: crossings (presence byte +
-    /// `f64::to_bits`), flags, then every [`RunHealth`] counter — the
-    /// stored health is what makes a cross-process replay bit-identical.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.crossings.len() * 9);
-        out.extend_from_slice(&(self.crossings.len() as u32).to_le_bytes());
-        for c in &self.crossings {
-            match c {
-                Some(t) => {
-                    out.push(1);
-                    out.extend_from_slice(&t.to_bits().to_le_bytes());
-                }
-                None => {
-                    out.push(0);
-                    out.extend_from_slice(&0u64.to_le_bytes());
-                }
-            }
-        }
-        out.push(self.stalled as u8);
-        out.push(self.truncated as u8);
-        for v in [
-            self.health.breakpoints,
-            self.health.max_events,
-            self.health.glitch_reversals,
-            self.health.vx_fallbacks,
-            self.health.cache_hits,
-            self.health.cache_misses,
-        ] {
-            out.extend_from_slice(&(v as u64).to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`LegResult::encode`]. Returns `None` on any length or
-    /// flag mismatch — a malformed record is treated as a cache miss,
-    /// never served.
-    fn decode(bytes: &[u8]) -> Option<LegResult> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if bytes.len() < n {
-                return None;
-            }
-            let (head, tail) = bytes.split_at(n);
-            *bytes = tail;
-            Some(head)
-        }
-        fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-            Some(u64::from_le_bytes(take(bytes, 8)?.try_into().ok()?))
-        }
-        let mut rest = bytes;
-        let n = u32::from_le_bytes(take(&mut rest, 4)?.try_into().ok()?) as usize;
-        let mut crossings = Vec::with_capacity(n);
-        for _ in 0..n {
-            let present = take(&mut rest, 1)?[0];
-            let bits = take_u64(&mut rest)?;
-            crossings.push(match present {
-                0 => None,
-                1 => Some(f64::from_bits(bits)),
-                _ => return None,
-            });
-        }
-        let flag = |b: u8| match b {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        };
-        let stalled = flag(take(&mut rest, 1)?[0])?;
-        let truncated = flag(take(&mut rest, 1)?[0])?;
-        let health = RunHealth {
-            breakpoints: take_u64(&mut rest)? as usize,
-            max_events: take_u64(&mut rest)? as usize,
-            glitch_reversals: take_u64(&mut rest)? as usize,
-            vx_fallbacks: take_u64(&mut rest)? as usize,
-            cache_hits: take_u64(&mut rest)? as usize,
-            cache_misses: take_u64(&mut rest)? as usize,
-        };
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(LegResult {
-            crossings,
-            stalled,
-            truncated,
-            health,
-        })
-    }
-}
-
-impl LegKey {
-    fn new(
-        fingerprint: u64,
-        tech: u64,
-        outputs: &[NetId],
-        tr: &Transition,
-        sleep: SleepNetwork,
-        base: &VbsimOptions,
-    ) -> Self {
-        fn levels(side: &[Logic]) -> Vec<u8> {
-            side.iter()
-                .map(|l| match l {
-                    Logic::Zero => 0,
-                    Logic::One => 1,
-                    Logic::X => 2,
-                })
-                .collect()
-        }
-        LegKey {
-            fingerprint,
-            tech,
-            probes: outputs.iter().map(|n| n.index()).collect(),
-            from: levels(&tr.from),
-            to: levels(&tr.to),
-            sleep: match sleep {
-                SleepNetwork::Cmos => (0, 0),
-                SleepNetwork::Resistance(r) => (1, r.to_bits()),
-                SleepNetwork::Transistor { w_over_l } => (2, w_over_l.to_bits()),
-            },
-            body_effect: base.body_effect,
-            reverse_conduction: base.reverse_conduction,
-            t_stop_bits: base.t_stop.to_bits(),
-            max_events: base.max_events,
-        }
-    }
-}
-
-/// A deterministic memo of switch-level simulator legs, keyed by
-/// everything that determines a leg's result (`LegKey`). The sizing
+/// A deterministic memo of switch-level simulator legs, keyed by the
+/// encoded `leg1` record key ([`crate::record`]): everything that
+/// determines a leg's result. The sizing
 /// entry points (`*_cached`) consult it before simulating, so a
 /// bisection that probes the same transition at many sleep sizes pays
 /// for its CMOS baseline once, and a repeated sweep pays for nothing.
@@ -447,7 +235,7 @@ impl LegKey {
 /// not fail sizing.
 #[derive(Debug, Default)]
 pub struct ScreeningCache {
-    legs: std::sync::Mutex<std::collections::HashMap<LegKey, LegResult>>,
+    legs: std::sync::Mutex<std::collections::HashMap<Vec<u8>, LegResult>>,
     hits: std::sync::atomic::AtomicUsize,
     misses: std::sync::atomic::AtomicUsize,
     store: Option<mtk_store::Store>,
@@ -560,14 +348,7 @@ impl ScreeningCache {
         scratch: &mut VbsimScratch,
     ) -> Result<(LegResult, bool), CoreError> {
         use std::sync::atomic::Ordering::Relaxed;
-        let key = LegKey::new(
-            engine.fingerprint(),
-            engine.tech().fingerprint(),
-            outputs,
-            tr,
-            sleep,
-            base,
-        );
+        let key = record::leg_key(engine, outputs, tr, sleep, base);
         if let Some(found) = self.legs.lock().unwrap().get(&key).cloned() {
             self.hits.fetch_add(1, Relaxed);
             return Ok((found, true));
@@ -576,10 +357,7 @@ impl ScreeningCache {
         // exactly like a memory hit (stored health included); a missing
         // or malformed one falls through to simulation.
         if let Some(store) = &self.store {
-            if let Some(leg) = store
-                .get(&key.store_key())
-                .and_then(|bytes| LegResult::decode(&bytes))
-            {
+            if let Some(leg) = store.get(&key).and_then(|b| record::decode_leg(&b)) {
                 self.store_hits.fetch_add(1, Relaxed);
                 self.hits.fetch_add(1, Relaxed);
                 self.legs.lock().unwrap().insert(key, leg.clone());
@@ -593,7 +371,7 @@ impl ScreeningCache {
         let leg = run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)?;
         self.misses.fetch_add(1, Relaxed);
         if let Some(store) = &self.store {
-            if store.put(&key.store_key(), &leg.encode()).is_err() {
+            if store.put(&key, &record::encode_leg(&leg)).is_err() {
                 self.store_put_errors.fetch_add(1, Relaxed);
             }
         }
@@ -613,37 +391,12 @@ fn count_cache_legs(health: &mut RunHealth, leg_hits: &[bool]) {
     }
 }
 
-/// [`vbsim_delay_pair_health`] through a [`ScreeningCache`]: each of the
-/// two legs is served from the cache when an identical leg was measured
-/// before. The returned pair is bit-identical to the uncached call; the
-/// returned health additionally carries [`RunHealth::cache_hits`] /
-/// [`RunHealth::cache_misses`] for the legs this call needed.
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_cached(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sleep: SleepNetwork,
-    base: &VbsimOptions,
-    cache: &ScreeningCache,
-) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
-    vbsim_delay_pair_cached_with(
-        engine,
-        tr,
-        probes,
-        sleep,
-        base,
-        cache,
-        &mut VbsimScratch::new(),
-    )
-}
-
-/// [`vbsim_delay_pair_cached`] with caller-owned simulator scratch, so a
-/// bisection or sweep pays no per-measurement allocation on cache
-/// misses. Results are bit-identical to the scratch-free call.
+/// [`vbsim_delay_pair_health_with`] through a [`ScreeningCache`]: each
+/// of the two legs is served from the cache when an identical leg was
+/// measured before. The returned pair is bit-identical to the uncached
+/// call; the returned health additionally carries
+/// [`RunHealth::cache_hits`] / [`RunHealth::cache_misses`] for the legs
+/// this call needed.
 ///
 /// # Errors
 ///
@@ -1212,7 +965,7 @@ mod tests {
     /// Satellite regression for the `.mtk` frontend: every field the
     /// parser can set — technology parameters, primary-output markers,
     /// per-cell drive overrides — must produce distinct cache keys.
-    /// Before the technology fingerprint joined `LegKey`, two engines
+    /// Before the technology fingerprint joined the leg key, two engines
     /// over the same netlist under different processes shared legs.
     #[test]
     fn cache_keys_distinguish_parser_settable_fields() {
@@ -1235,6 +988,7 @@ mod tests {
         }
 
         let cache = ScreeningCache::new();
+        let mut scratch = VbsimScratch::new();
         let base = VbsimOptions::default();
         let tr = Transition::new(vec![Logic::Zero], vec![Logic::One]);
         let sleep = SleepNetwork::Transistor { w_over_l: 10.0 };
@@ -1244,17 +998,20 @@ mod tests {
         let nl = chain(1.0, false);
         let probes = [nl.find_net("y").unwrap()];
         let e1 = Engine::new(&nl, &t07);
-        vbsim_delay_pair_cached(&e1, &tr, Some(&probes), sleep, &base, &cache).unwrap();
+        vbsim_delay_pair_cached_with(&e1, &tr, Some(&probes), sleep, &base, &cache, &mut scratch)
+            .unwrap();
         let per_engine = cache.len();
         assert!(per_engine > 0);
 
         // The same engine again adds no keys (pure hits).
-        vbsim_delay_pair_cached(&e1, &tr, Some(&probes), sleep, &base, &cache).unwrap();
+        vbsim_delay_pair_cached_with(&e1, &tr, Some(&probes), sleep, &base, &cache, &mut scratch)
+            .unwrap();
         assert_eq!(cache.len(), per_engine, "identical engine must hit");
 
         // Same netlist, different technology: all legs re-keyed.
         let e2 = Engine::new(&nl, &t03);
-        vbsim_delay_pair_cached(&e2, &tr, Some(&probes), sleep, &base, &cache).unwrap();
+        vbsim_delay_pair_cached_with(&e2, &tr, Some(&probes), sleep, &base, &cache, &mut scratch)
+            .unwrap();
         assert_eq!(
             cache.len(),
             2 * per_engine,
@@ -1266,7 +1023,16 @@ mod tests {
         let nl_po = chain(1.0, true);
         let probes_po = [nl_po.find_net("y").unwrap()];
         let e3 = Engine::new(&nl_po, &t07);
-        vbsim_delay_pair_cached(&e3, &tr, Some(&probes_po), sleep, &base, &cache).unwrap();
+        vbsim_delay_pair_cached_with(
+            &e3,
+            &tr,
+            Some(&probes_po),
+            sleep,
+            &base,
+            &cache,
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(
             cache.len(),
             3 * per_engine,
@@ -1277,7 +1043,16 @@ mod tests {
         let nl_drive = chain(2.0, false);
         let probes_drive = [nl_drive.find_net("y").unwrap()];
         let e4 = Engine::new(&nl_drive, &t07);
-        vbsim_delay_pair_cached(&e4, &tr, Some(&probes_drive), sleep, &base, &cache).unwrap();
+        vbsim_delay_pair_cached_with(
+            &e4,
+            &tr,
+            Some(&probes_drive),
+            sleep,
+            &base,
+            &cache,
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(
             cache.len(),
             4 * per_engine,

@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+# Every temp file (stores, their .lock siblings, traces, logs) lives
+# under one work dir, removed on exit.
+work="$(mktemp -d /tmp/ci.XXXXXX)"
+trap 'rm -rf "$work"' EXIT
+
 echo "== formatting =="
 cargo fmt --check
 
@@ -44,8 +49,8 @@ echo "== bench-harness targets still compile =="
 cargo build -p mtk-bench --benches --features bench-harness
 
 echo "== golden .mtk files match the generators =="
-golden_dir="$(mktemp -d /tmp/ci_golden.XXXXXX)"
-trap 'rm -rf "$golden_dir"' EXIT
+golden_dir="$work/golden"
+mkdir "$golden_dir"
 cargo run --release -p mtk-bench --bin mtk -- gen --all --dir "$golden_dir"
 for f in "$golden_dir"/*.mtk; do
   cmp "$f" "examples/$(basename "$f")" || {
@@ -55,8 +60,7 @@ for f in "$golden_dir"/*.mtk; do
 done
 
 echo "== mtk driver smoke (lint + deterministic screen on a golden file) =="
-mtk_trace="$(mktemp /tmp/ci_mtk_trace.XXXXXX.json)"
-trap 'rm -rf "$golden_dir" "$mtk_trace"' EXIT
+mtk_trace="$work/mtk_trace.json"
 cargo run --release -p mtk-bench --bin mtk -- lint examples/adder3.mtk
 cargo run --release -p mtk-bench --bin mtk -- screen examples/adder3.mtk \
   --stride 16 --threads 2 --trace-deterministic --trace-json "$mtk_trace"
@@ -68,9 +72,8 @@ echo "== mtk mc smoke: deterministic Monte Carlo + warm store replay =="
 # Cold run writes every trial through to the store; the warm rerun must
 # replay all of them without touching the simulator, and both traces
 # must validate against the schema.
-mc_store="$(mktemp /tmp/ci_mc_store.XXXXXX.bin)"
-mc_trace="$(mktemp /tmp/ci_mc_trace.XXXXXX.json)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace"' EXIT
+mc_store="$work/mc_store.bin"
+mc_trace="$work/mc_trace.json"
 cargo run --release -p mtk-bench --bin mtk -- mc examples/adder3.mtk \
   --smoke --sigma-vt 0.03 --sigma-kp 0.05 --sigma-w 0.04 --target 0.25 \
   --threads 2 --store "$mc_store" --trace-deterministic --trace-json "$mc_trace"
@@ -85,10 +88,9 @@ grep -q ", 0 simulated" <<<"$mc_warm" || {
 cargo run --release -p mtk-bench --bin trace_check -- "$mc_trace"
 
 echo "== mtk cluster smoke: thread invariance, never-worse gate, warm replay =="
-clu_store="$(mktemp /tmp/ci_clu_store.XXXXXX.bin)"
-clu_a="$(mktemp /tmp/ci_clu_a.XXXXXX.json)"
-clu_b="$(mktemp /tmp/ci_clu_b.XXXXXX.json)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b"' EXIT
+clu_store="$work/clu_store.bin"
+clu_a="$work/clu_a.json"
+clu_b="$work/clu_b.json"
 # Deterministic cluster traces must be byte-identical at any thread count.
 cargo run --release -p mtk-bench --bin mtk -- cluster examples/mul16.mtk \
   --smoke --clusters 4 --threads 1 --trace-deterministic --trace-json "$clu_a" >/dev/null
@@ -126,8 +128,7 @@ grep -q ", 0 simulated" <<<"$clu_warm" || {
 }
 
 echo "== hybrid pipeline smoke (4-bit adder screen + top-2 SPICE verify) =="
-trace_json="$(mktemp /tmp/ci_trace.XXXXXX.json)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$trace_json"' EXIT
+trace_json="$work/trace.json"
 cargo run --release -p mtk-bench --bin ext_screening -- \
   --smoke --adder-bits 4 --stride 259 --top-k 2 --threads 2 \
   --trace-json "$trace_json"
@@ -141,9 +142,8 @@ echo "== serve smoke: store-backed replay + graceful SIGTERM drain =="
 # replay, visible in the trace counters), then TERMs the server and
 # requires a clean drain (exit 0). Corruption recovery is covered by
 # `cargo test` (crates/store/tests/corruption.rs, tests/store_persistence.rs).
-serve_log="$(mktemp /tmp/ci_serve.XXXXXX.log)"
-serve_store="$(mktemp /tmp/ci_serve_store.XXXXXX.bin)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$trace_json" "$serve_log" "$serve_store" "$serve_store.lock"' EXIT
+serve_log="$work/serve.log"
+serve_store="$work/serve_store.bin"
 target/release/mtk serve --addr 127.0.0.1:0 --store "$serve_store" >"$serve_log" &
 serve_pid=$!
 for _ in $(seq 1 100); do
@@ -173,8 +173,8 @@ echo "== interop smoke: deck export/import identity + waveform exports =="
 # Export a golden design as a hint-carrying SPICE deck, re-import it
 # (structural gate recognition), and demand the canonical .mtk comes
 # back byte-identical to the committed golden.
-interop_dir="$(mktemp -d /tmp/ci_interop.XXXXXX)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$trace_json" "$serve_log" "$serve_store" "$serve_store.lock" "$interop_dir"' EXIT
+interop_dir="$work/interop"
+mkdir "$interop_dir"
 target/release/mtk export examples/adder3.mtk --w-over-l 8 --out "$interop_dir/adder3.ckt"
 target/release/mtk import "$interop_dir/adder3.ckt" --out "$interop_dir/adder3_back.mtk" >/dev/null
 cmp "$interop_dir/adder3_back.mtk" examples/adder3.mtk || {
@@ -223,8 +223,7 @@ echo "== bench smoke: kernel speed file regenerates, validates, and gates =="
 if [[ "${MTK_SKIP_BENCH:-0}" == "1" ]]; then
   echo "bench smoke skipped (MTK_SKIP_BENCH=1)"
 else
-  bench_json="$(mktemp /tmp/ci_bench.XXXXXX.json)"
-  trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$trace_json" "$serve_log" "$serve_store" "$serve_store.lock" "$interop_dir" "$bench_json"' EXIT
+  bench_json="$work/bench.json"
   cargo run --release -p mtk-bench --bin speed_comparison -- \
     --no-spice --samples 3 --warmup 1 \
     --json "$bench_json" --check-against BENCH_speed.json
