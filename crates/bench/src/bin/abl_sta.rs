@@ -16,7 +16,8 @@ use mtk_bench::transition_of;
 use mtk_circuits::adder::RippleAdder;
 use mtk_circuits::tree::InverterTree;
 use mtk_circuits::vectors::exhaustive_transitions;
-use mtk_core::sizing::{screen_vectors, vbsim_delay_pair, Transition};
+use mtk_core::health::{FailurePolicy, FaultPlan};
+use mtk_core::sizing::{screen_vectors_par_quarantined, vbsim_delay_pair, Transition};
 use mtk_core::sta::Sta;
 use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions};
 use mtk_netlist::logic::Logic;
@@ -82,7 +83,18 @@ fn main() {
         .into_iter()
         .map(|p| transition_of(p, 6))
         .collect();
-    let screened = screen_vectors(&engine, &transitions, None, wl, &base).expect("screen");
+    let (screened, _) = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech,
+        &transitions,
+        None,
+        wl,
+        &base,
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+    )
+    .expect("screen");
     let worst = &screened[0];
     let worst_tr = &transitions[worst.index];
     let packed = |tr: &Transition| -> (u64, u64) {

@@ -12,65 +12,30 @@
 //! decouples their virtual-ground noise instead.
 
 use mtk_bench::report::print_table;
-use mtk_circuits::tree::TreeSpec;
-use mtk_core::modules::{size_modules_for_target, total_width, worst_degradation_partitioned};
+use mtk_circuits::tree::{double_tree, TreeSpec};
+use mtk_core::cluster::{
+    size_clusters_for_target, worst_degradation_partitioned, ExclusivePartition,
+};
+use mtk_core::health::{FailurePolicy, FaultPlan, RunHealth};
+use mtk_core::par::WorkerStats;
 use mtk_core::sizing::{size_for_target, Transition};
-use mtk_core::vbsim::{Engine, VbsimOptions};
-use mtk_netlist::cell::CellKind;
+use mtk_core::vbsim::{Engine, VbsimOptions, VbsimScratch};
 use mtk_netlist::logic::Logic;
-use mtk_netlist::netlist::{NetId, Netlist};
 use mtk_netlist::tech::Technology;
-
-/// Two independent Fig-4-style trees in one netlist. Returns the
-/// netlist and, per tree, its input position and its cell-count.
-fn double_tree(spec: &TreeSpec) -> (Netlist, usize) {
-    let mut nl = Netlist::new("double_tree");
-    let mut cells_per_tree = 0;
-    for tree_idx in 0..2 {
-        let input = nl.add_net(&format!("in{tree_idx}")).unwrap();
-        nl.mark_primary_input(input).unwrap();
-        let mut frontier: Vec<NetId> = vec![input];
-        let mut gate = 0usize;
-        for stage in 0..spec.stages {
-            let per_driver = if stage == 0 { 1 } else { spec.fanout };
-            let mut next = Vec::new();
-            for &drv in &frontier {
-                for _ in 0..per_driver {
-                    let out = nl
-                        .add_net(&format!("t{tree_idx}_s{stage}_{}", next.len()))
-                        .unwrap();
-                    nl.add_cell(
-                        &format!("t{tree_idx}_inv{gate}"),
-                        CellKind::Inv,
-                        vec![drv],
-                        out,
-                        spec.drive,
-                    )
-                    .unwrap();
-                    nl.add_extra_cap(out, spec.load_cap);
-                    gate += 1;
-                    next.push(out);
-                }
-            }
-            frontier = next;
-        }
-        for &leaf in &frontier {
-            nl.mark_primary_output(leaf);
-        }
-        if tree_idx == 0 {
-            cells_per_tree = nl.cells().len();
-        }
-    }
-    (nl, cells_per_tree)
-}
 
 fn main() {
     let tech = Technology::l07();
-    let (nl, cells_per_tree) = double_tree(&TreeSpec::default());
+    let (nl, cells_per_tree) = double_tree(&TreeSpec::default()).expect("double tree");
     let engine = Engine::new(&nl, &tech);
-    let assignment: Vec<usize> = (0..nl.cells().len())
-        .map(|c| usize::from(c >= cells_per_tree))
-        .collect();
+    // One device per tree: a fixed two-cluster partition.
+    let per_tree = ExclusivePartition {
+        assignment: (0..nl.cells().len())
+            .map(|c| usize::from(c >= cells_per_tree))
+            .collect(),
+        n_clusters: 2,
+        conflict_edges: 0,
+        folded: 0,
+    };
     let target = 0.10;
     let base = VbsimOptions::default();
 
@@ -98,24 +63,34 @@ fn main() {
         size_for_target(&engine, &exclusive, None, target, bounds, &base).expect("sizing");
     let w_shared_simul =
         size_for_target(&engine, &simultaneous, None, target, bounds, &base).expect("sizing");
-    let per_module = size_modules_for_target(
-        &engine,
+    // The sleep devices come from the partition, so the base options
+    // carry none.
+    let (sizing, _) = size_clusters_for_target(
+        &nl,
+        &tech,
         &exclusive,
         None,
-        &assignment,
-        2,
+        &per_tree,
         target,
         bounds,
         &VbsimOptions::cmos(),
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+        None,
     )
     .expect("module sizing");
+    let per_module = &sizing.clustered_w_over_ls;
     let check = worst_degradation_partitioned(
         &engine,
+        &mut VbsimScratch::new(),
         &exclusive,
-        None,
-        &assignment,
-        &per_module,
+        nl.primary_outputs(),
+        &per_tree.assignment,
+        per_module,
         &VbsimOptions::cmos(),
+        &mut RunHealth::default(),
+        &mut WorkerStats::default(),
     )
     .expect("verify");
 
@@ -133,7 +108,7 @@ fn main() {
         vec![
             "one device per tree, exclusive workload".into(),
             format!("{:.1} + {:.1}", per_module[0], per_module[1]),
-            format!("{:.1}", total_width(&per_module)),
+            format!("{:.1}", sizing.clustered_width()),
         ],
     ];
     print_table(
@@ -150,7 +125,7 @@ fn main() {
          work that costs {:.0} in per-module width and {w_shared_simul:.0} under the \
          no-exclusivity assumption — merging exclusive patterns onto a shared device saves \
          {:.0}% width, the 1998 follow-up's core observation.",
-        total_width(&per_module),
-        (1.0 - w_shared_excl / total_width(&per_module)) * 100.0
+        sizing.clustered_width(),
+        (1.0 - w_shared_excl / sizing.clustered_width()) * 100.0
     );
 }

@@ -29,10 +29,11 @@ use mtk_bench::transition_of;
 use mtk_circuits::adder::RippleAdder;
 use mtk_circuits::multiplier::ArrayMultiplier;
 use mtk_circuits::vectors::{exhaustive_transitions, multiplier_vector_a};
-use mtk_core::health::SweepHealth;
+use mtk_core::health::{FailurePolicy, FaultPlan, SweepHealth};
 use mtk_core::search::{search_worst_vector, SearchOptions};
 use mtk_core::sizing::{
-    screen_vectors, size_for_target_cached, vbsim_delay_pair, ScreeningCache, Transition,
+    screen_vectors_par_quarantined, size_for_target_cached, vbsim_delay_pair, ScreeningCache,
+    Transition,
 };
 use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions};
 use mtk_netlist::tech::Technology;
@@ -109,8 +110,18 @@ fn main() {
         .into_iter()
         .map(|p| transition_of(p, 6))
         .collect();
-    let screened = screen_vectors(&engine, &transitions, None, 10.0, &VbsimOptions::default())
-        .expect("screen");
+    let (screened, _) = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech07,
+        &transitions,
+        None,
+        10.0,
+        &VbsimOptions::default(),
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+    )
+    .expect("screen");
     let exhaustive_worst = screened[0].delays.degradation();
     let mut rows = Vec::new();
     let mut calibrate_health = SweepHealth::default();

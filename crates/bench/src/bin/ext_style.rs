@@ -12,7 +12,8 @@ use mtk_bench::transition_of;
 use mtk_circuits::adder::RippleAdder;
 use mtk_circuits::nand_adder::{NandAdderSpec, NandRippleAdder};
 use mtk_circuits::vectors::exhaustive_transitions;
-use mtk_core::sizing::{screen_vectors, size_for_target, Transition};
+use mtk_core::health::{FailurePolicy, FaultPlan};
+use mtk_core::sizing::{screen_vectors_par_quarantined, size_for_target, Transition};
 use mtk_core::vbsim::{Engine, VbsimOptions};
 use mtk_netlist::netlist::Netlist;
 use mtk_netlist::tech::Technology;
@@ -24,7 +25,18 @@ fn study(name: &str, netlist: &Netlist, tech: &Technology) -> Vec<String> {
         .map(|p| transition_of(p, 6))
         .collect();
     let base = VbsimOptions::default();
-    let screened = screen_vectors(&engine, &transitions, None, 10.0, &base).expect("screen");
+    let (screened, _) = screen_vectors_par_quarantined(
+        netlist,
+        tech,
+        &transitions,
+        None,
+        10.0,
+        &base,
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+    )
+    .expect("screen");
     let worst = &screened[0];
     let worst_trs: Vec<Transition> = screened
         .iter()

@@ -503,7 +503,7 @@ fn cmd_cluster(design: &Design) {
         .map_or("infeasible".to_string(), |w| format!("{w:.2}"));
     println!(
         "clustered total W/L = {:.2} over {n_transitions} transition(s); single-device W/L = {single}; returned the {} solution ({:.2} s wall)",
-        sizing.clustered_width,
+        sizing.clustered_width(),
         if sizing.fell_back { "single-device" } else { "clustered" },
         report.wall
     );

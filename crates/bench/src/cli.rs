@@ -8,14 +8,24 @@
 use mtk_core::health::FailurePolicy;
 use mtk_trace::{TraceConfig, TraceReport};
 
-/// Value of `--<name> N`, or `default` when absent/unparsable.
+/// Value of `--<name> N`, or `default` when the flag is absent. A
+/// present flag with a missing or unparsable value is a usage error:
+/// `error: --<name>: invalid value '<v>'` and exit 2.
 pub fn flag(name: &str, default: usize) -> usize {
+    parsed_flag(name, default)
+}
+
+/// The value after `name` parsed as `T`; see [`flag`].
+fn parsed_flag<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return default;
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("error: {name}: invalid value '{value}'");
+        std::process::exit(2)
+    })
 }
 
 /// True when `--<name>` is present.
@@ -23,15 +33,10 @@ pub fn bool_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Value of `--<name> X` as a float, or `default` when
-/// absent/unparsable.
+/// Value of `--<name> X` as a float, or `default` when the flag is
+/// absent; a bad value exits 2 as in [`flag`].
 pub fn f64_flag(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parsed_flag(name, default)
 }
 
 /// Value of `--<name> <string>`, when present.

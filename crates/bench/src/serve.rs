@@ -13,8 +13,9 @@
 //! * `{"cmd":"import","deck":"<SPICE text>"}` — standard-format import:
 //!   flatten subcircuits, recognize gates, return canonical `.mtk` (or
 //!   `recognized:false` with the reason — the SPICE-only fallback).
-//! * `{"cmd":"status"}` — health snapshot: serve counters as a schema-v3
-//!   trace report, cache occupancy, store stats, connection gauges.
+//! * `{"cmd":"status"}` — health snapshot: serve counters as a trace
+//!   report at the current [`mtk_trace::SCHEMA_VERSION`], cache
+//!   occupancy, store stats, connection gauges.
 //! * `{"cmd":"shutdown"}` — begin a graceful drain.
 //!
 //! Responses (always one line):
@@ -36,8 +37,10 @@
 //! backpressure (explicit `busy`), in-flight dedup of identical
 //! requests (concurrent duplicates wait for the one execution and
 //! replay it), and graceful drain (stop accepting, finish in-flight
-//! work, exit cleanly). Every failure path is an `mtk_trace` counter —
-//! never an `eprintln!`.
+//! work, exit cleanly). The connection count and the in-flight entry
+//! are released by drop guards, so even a job that panics leaves no
+//! waiter blocked and no drain hanging. Every failure path is an
+//! `mtk_trace` counter — never an `eprintln!`.
 //!
 //! The request fingerprint (and store key) excludes `threads`: results
 //! are thread-count invariant by the workspace determinism contract, so
@@ -58,7 +61,7 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Knobs of one server instance. `Default` is tuned for tests and the
@@ -107,8 +110,11 @@ struct Inflight {
 }
 
 impl Inflight {
+    /// Never panics: it runs from [`Lead`]'s `Drop`, possibly while a
+    /// panic unwinds. The slot is one assignment, so a poisoned lock
+    /// still holds valid data.
     fn publish(&self, outcome: Result<String, String>) {
-        *self.done.lock().unwrap() = Some(outcome);
+        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
         self.cv.notify_all();
     }
 
@@ -169,6 +175,42 @@ impl ServerState {
         let payload = String::from_utf8(store.get(key)?).ok()?;
         self.count(CounterId::StoreHits, 1);
         Some(payload)
+    }
+}
+
+/// The leader's claim on an in-flight key. Dropping it — after the job,
+/// or while a panic unwinds out of it — removes the entry and publishes
+/// `outcome` (an error when none was set), so neither a waiter nor a
+/// later identical request is left blocked on a lost leader.
+struct Lead<'a> {
+    state: &'a ServerState,
+    key: &'a [u8],
+    flight: Arc<Inflight>,
+    outcome: Option<Result<String, String>>,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        self.state
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+        let outcome = self
+            .outcome
+            .take()
+            .unwrap_or_else(|| Err("job failed without a result".to_string()));
+        self.flight.publish(outcome);
+    }
+}
+
+/// One open connection, counted for the drain loop; the count drops
+/// when the connection thread ends, also when it unwinds from a panic.
+struct ConnGuard(Arc<ServerState>);
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        self.0.open_conns.fetch_sub(1, Relaxed);
     }
 }
 
@@ -271,13 +313,10 @@ impl Server {
         while !self.state.draining() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
                     let cfg = self.cfg.clone();
-                    state.open_conns.fetch_add(1, Relaxed);
-                    std::thread::spawn(move || {
-                        handle_conn(&state, stream, &cfg);
-                        state.open_conns.fetch_sub(1, Relaxed);
-                    });
+                    self.state.open_conns.fetch_add(1, Relaxed);
+                    let conn = ConnGuard(Arc::clone(&self.state));
+                    std::thread::spawn(move || handle_conn(&conn.0, stream, &cfg));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -524,13 +563,19 @@ fn handle_job(state: &Arc<ServerState>, spec: &JobSpec) -> String {
             }
         }
         Role::Leader(guard, flight) => {
+            let mut lead = Lead {
+                state,
+                key: &key,
+                flight,
+                outcome: None,
+            };
             // Close the lookup→insert race: a previous leader may have
             // committed between our store miss and winning the in-flight
             // slot. Re-checking here keeps "identical requests run one
             // simulation" exact, not just probable.
             if let Some(payload) = state.store_lookup(&key) {
-                state.inflight.lock().unwrap().remove(&key);
-                flight.publish(Ok(payload.clone()));
+                lead.outcome = Some(Ok(payload.clone()));
+                drop(lead);
                 drop(guard);
                 return ok_line(true, &payload);
             }
@@ -543,8 +588,8 @@ fn handle_job(state: &Arc<ServerState>, spec: &JobSpec) -> String {
                     state.store_put_errors.fetch_add(1, Relaxed);
                 }
             }
-            state.inflight.lock().unwrap().remove(&key);
-            flight.publish(outcome.clone());
+            lead.outcome = Some(outcome.clone());
+            drop(lead);
             drop(guard);
             match outcome {
                 Ok(payload) => ok_line(false, &payload),
@@ -748,7 +793,7 @@ fn execute(state: &ServerState, spec: &JobSpec) -> Result<String, String> {
                 ("w_over_ls".into(), JsonValue::Array(widths)),
                 (
                     "clustered_width".into(),
-                    JsonValue::Number(sizing.clustered_width),
+                    JsonValue::Number(sizing.clustered_width()),
                 ),
                 (
                     "single_w_over_l".into(),
@@ -860,7 +905,8 @@ fn store_stats_value(stats: StoreStats) -> JsonValue {
 
 /// The status response: connection gauges, cache occupancy
 /// ([`ScreeningCache::snapshot`]), store health, and the serve counters
-/// as a validating schema-v3 trace report.
+/// as a trace report that validates at the current
+/// [`mtk_trace::SCHEMA_VERSION`].
 fn status_line(state: &ServerState) -> String {
     let mut counters = state.counter_snapshot();
     if let Some(store) = &state.store {

@@ -10,6 +10,8 @@
 //! * `mtk screen --trace-deterministic` writes byte-identical JSON at
 //!   thread counts 1, 2 and 8 on a golden example.
 //! * `mtk gen <stem>` reproduces the checked-in golden file exactly.
+//! * A flag with a missing or unparsable value, or a sizing bracket
+//!   with `lo >= hi`, is a labelled error and exit 2.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -136,6 +138,46 @@ fn missing_file_and_missing_args_exit_two() {
     assert!(stderr(&out).contains("usage"));
     let out = mtk(&["frobnicate", "x.mtk"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn bad_flag_values_and_brackets_are_labelled_errors() {
+    let path = golden("adder3");
+    let path = path.to_str().unwrap();
+    let cases: [(&str, &[&str], &str); 5] = [
+        (
+            "screen",
+            &["--threads", "abc"],
+            "error: --threads: invalid value 'abc'",
+        ),
+        (
+            "size",
+            &["--target", "0.x"],
+            "error: --target: invalid value '0.x'",
+        ),
+        ("screen", &["--stride"], "error: --stride: invalid value ''"),
+        (
+            "size",
+            &["--lo", "5", "--hi", "1"],
+            "error: invalid options: sizing bracket",
+        ),
+        (
+            "cluster",
+            &["--lo", "5", "--hi", "1"],
+            "error: invalid options: sizing bracket",
+        ),
+    ];
+    for (cmd, flags, message) in cases {
+        let mut args = vec![cmd, path];
+        args.extend_from_slice(flags);
+        let out = mtk(&args);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(message),
+            "{flags:?}: {}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]

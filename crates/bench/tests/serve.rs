@@ -264,6 +264,35 @@ fn malformed_and_unknown_requests_are_rejected() {
 }
 
 #[test]
+fn invalid_bracket_is_an_error_and_leaves_no_stale_job() {
+    let (addr, _state, handle) = start(ServeConfig::default());
+    for cmd in ["size", "cluster"] {
+        let line = job_line(cmd, ",\"lo\":5,\"hi\":1");
+        let first = request(&addr, &line, CLIENT_TIMEOUT).expect("responds");
+        assert!(first.contains("\"status\":\"error\""), "{cmd}: {first}");
+        assert!(first.contains("sizing bracket"), "{cmd}: {first}");
+        // The identical retry runs again and fails the same way, instead
+        // of waiting on an in-flight entry nobody will publish.
+        let retry = request(&addr, &line, Duration::from_secs(30)).expect("retry responds");
+        assert_eq!(retry, first, "{cmd}");
+    }
+    let status = request(&addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
+    let server = parse(&status).expect("parses");
+    let server = server.get("server").expect("server section");
+    assert_eq!(
+        server.get("in_flight").and_then(JsonValue::as_u64),
+        Some(0),
+        "{status}"
+    );
+    assert_eq!(
+        server.get("job_slots_free").and_then(JsonValue::as_u64),
+        Some(ServeConfig::default().job_slots as u64),
+        "{status}"
+    );
+    shutdown(&addr, handle); // the drain completes: no connection leaked
+}
+
+#[test]
 fn oversized_request_is_rejected_and_the_connection_closed() {
     let (addr, _state, handle) = start(ServeConfig {
         max_request_bytes: 1024,

@@ -55,38 +55,10 @@ impl InverterTree {
     /// Propagates netlist construction errors (they indicate a bug in the
     /// generator, not bad user input, but are surfaced for completeness).
     pub fn new(spec: &TreeSpec) -> Result<Self, NetlistError> {
-        assert!(spec.stages >= 1, "tree needs at least one stage");
-        assert!(spec.fanout >= 1, "fanout must be at least 1");
         let mut nl = Netlist::new("inverter_tree");
         let input = nl.add_net("in")?;
         nl.mark_primary_input(input)?;
-        let mut stage_outputs: Vec<Vec<NetId>> = Vec::new();
-        let mut frontier = vec![input];
-        let mut gate_idx = 0usize;
-        for stage in 0..spec.stages {
-            let mut outputs = Vec::new();
-            let per_driver = if stage == 0 { 1 } else { spec.fanout };
-            for &drv in &frontier {
-                for _ in 0..per_driver {
-                    let out = nl.add_net(&format!("s{stage}_{}", outputs.len()))?;
-                    nl.add_cell(
-                        &format!("inv{gate_idx}"),
-                        CellKind::Inv,
-                        vec![drv],
-                        out,
-                        spec.drive,
-                    )?;
-                    nl.add_extra_cap(out, spec.load_cap);
-                    gate_idx += 1;
-                    outputs.push(out);
-                }
-            }
-            frontier = outputs.clone();
-            stage_outputs.push(outputs);
-        }
-        for &leaf in stage_outputs.last().expect("stages >= 1") {
-            nl.mark_primary_output(leaf);
-        }
+        let stage_outputs = grow(&mut nl, spec, input, "")?;
         Ok(InverterTree {
             netlist: nl,
             input,
@@ -115,6 +87,66 @@ impl InverterTree {
     pub fn falling_stages_for_rising_input(&self) -> Vec<usize> {
         (0..self.stage_outputs.len()).step_by(2).collect()
     }
+}
+
+/// Two independent trees in one netlist — the EXT-MODULES workload.
+/// Tree `k` is driven by input `in{k}` and its nets and cells carry the
+/// prefix `t{k}_`. Returns the netlist and the cell count of one tree:
+/// cells `0..n` belong to tree 0, the rest to tree 1.
+///
+/// # Errors
+///
+/// Propagates netlist construction errors, as [`InverterTree::new`].
+pub fn double_tree(spec: &TreeSpec) -> Result<(Netlist, usize), NetlistError> {
+    let mut nl = Netlist::new("double_tree");
+    for k in 0..2 {
+        let input = nl.add_net(&format!("in{k}"))?;
+        nl.mark_primary_input(input)?;
+        grow(&mut nl, spec, input, &format!("t{k}_"))?;
+    }
+    let per_tree = nl.cells().len() / 2;
+    Ok((nl, per_tree))
+}
+
+/// Adds one tree driven by `input` to `nl`, naming its nets and cells
+/// with `prefix`, and marks its leaves as primary outputs. Returns the
+/// output nets per stage.
+fn grow(
+    nl: &mut Netlist,
+    spec: &TreeSpec,
+    input: NetId,
+    prefix: &str,
+) -> Result<Vec<Vec<NetId>>, NetlistError> {
+    assert!(spec.stages >= 1, "tree needs at least one stage");
+    assert!(spec.fanout >= 1, "fanout must be at least 1");
+    let mut stage_outputs: Vec<Vec<NetId>> = Vec::new();
+    let mut frontier = vec![input];
+    let mut gate_idx = 0usize;
+    for stage in 0..spec.stages {
+        let mut outputs = Vec::new();
+        let per_driver = if stage == 0 { 1 } else { spec.fanout };
+        for &drv in &frontier {
+            for _ in 0..per_driver {
+                let out = nl.add_net(&format!("{prefix}s{stage}_{}", outputs.len()))?;
+                nl.add_cell(
+                    &format!("{prefix}inv{gate_idx}"),
+                    CellKind::Inv,
+                    vec![drv],
+                    out,
+                    spec.drive,
+                )?;
+                nl.add_extra_cap(out, spec.load_cap);
+                gate_idx += 1;
+                outputs.push(out);
+            }
+        }
+        frontier = outputs.clone();
+        stage_outputs.push(outputs);
+    }
+    for &leaf in stage_outputs.last().expect("stages >= 1") {
+        nl.mark_primary_output(leaf);
+    }
+    Ok(stage_outputs)
 }
 
 #[cfg(test)]

@@ -21,9 +21,13 @@
 //!   The **never-worse rule**: the single-device solution for the same
 //!   target is always computed too, and whichever uses less total width
 //!   wins — sequential paths split the delay budget across clusters and
-//!   can genuinely need *more* total width (see
-//!   [`crate::modules::size_modules_for_target`]'s caveat), so clustered
-//!   sizing must not silently regress the area it exists to save.
+//!   can genuinely need *more* total width, so clustered sizing must not
+//!   silently regress the area it exists to save. A fixed partition
+//!   (one cluster per module or per pipeline stage) is sized the same
+//!   way: build the [`ExclusivePartition`] by hand.
+//! * [`worst_degradation_partitioned`] — the one evaluator behind it:
+//!   the worst delay degradation over a vector set with one device per
+//!   cluster.
 //!
 //! Every simulator evaluation can be written through a persistent
 //! [`mtk_store::Store`] under its own record tag, so a warm rerun
@@ -31,12 +35,12 @@
 //! telemetry, bit-identically — without simulating anything.
 
 use crate::health::{
-    fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
-    RETRY_BUDGET_FACTOR,
+    charge_overflow, fold_item_reports, with_overflow_retry, FailurePolicy, FaultPlan, ItemReport,
+    RunHealth, SweepHealth,
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::record;
-use crate::sizing::Transition;
+use crate::sizing::{check_bracket, Transition};
 use crate::vbsim::{Engine, PartitionedSleep, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
@@ -59,26 +63,6 @@ pub struct ExclusivePartition {
     /// colouring needed more than `max_clusters` colours. Zero means
     /// every cluster is genuinely conflict-free.
     pub folded: usize,
-}
-
-impl ExclusivePartition {
-    /// The per-cluster sleep configuration for a vector of device sizes
-    /// (one W/L per cluster), ready for
-    /// [`Engine::run_partitioned`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `w_over_ls.len() != self.n_clusters`.
-    pub fn to_sleep(&self, w_over_ls: &[f64]) -> PartitionedSleep {
-        assert_eq!(w_over_ls.len(), self.n_clusters, "one size per cluster");
-        PartitionedSleep {
-            assignment: self.assignment.clone(),
-            networks: w_over_ls
-                .iter()
-                .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
-                .collect(),
-        }
-    }
 }
 
 /// Whether a cell output moving `from → to` may pull current through
@@ -229,10 +213,76 @@ pub fn exclusive_partition(
     })
 }
 
-/// Worst degradation over the transitions for one per-cluster sizes
-/// vector, served from the store when an identical evaluation was
-/// recorded before (replaying its stored health), simulated and written
-/// through otherwise.
+/// Worst degradation over `transitions` with one sleep device of
+/// W/L `w_over_ls[k]` per cluster `k` (`assignment` maps each cell to its
+/// cluster). Each transition runs a CMOS baseline (`base` with no sleep
+/// device) and the partitioned MTCMOS leg; a stalled or truncated
+/// MTCMOS run counts as infinite degradation. Every run's health lands
+/// in `run`, including the cost of an overflowing run, and every run's
+/// breakpoints in `stats`.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+#[allow(clippy::too_many_arguments)]
+pub fn worst_degradation_partitioned(
+    engine: &Engine<'_>,
+    scratch: &mut VbsimScratch,
+    transitions: &[Transition],
+    outputs: &[NetId],
+    assignment: &[usize],
+    w_over_ls: &[f64],
+    base: &VbsimOptions,
+    run: &mut RunHealth,
+    stats: &mut WorkerStats,
+) -> Result<f64, CoreError> {
+    let partition = PartitionedSleep {
+        assignment: assignment.to_vec(),
+        networks: w_over_ls
+            .iter()
+            .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
+            .collect(),
+    };
+    let cmos_opts = VbsimOptions {
+        sleep: SleepNetwork::Cmos,
+        ..base.clone()
+    };
+    let charged = |e: CoreError, run: &mut RunHealth, stats: &mut WorkerStats| {
+        charge_overflow(&e, base.max_events, run, stats);
+        e
+    };
+    let mut worst = 0.0f64;
+    for tr in transitions {
+        stats.vectors += 1;
+        let cmos = engine
+            .run_with(&tr.from, &tr.to, &cmos_opts, scratch)
+            .map_err(|e| charged(e, run, stats))?;
+        run.absorb(&cmos.health);
+        stats.breakpoints += cmos.health.breakpoints as u64;
+        let Some(d_cmos) = cmos.delay_over(outputs) else {
+            continue;
+        };
+        let mt = engine
+            .run_partitioned_with(&tr.from, &tr.to, Some(&partition), base, scratch)
+            .map_err(|e| charged(e, run, stats))?;
+        run.absorb(&mt.health);
+        stats.breakpoints += mt.health.breakpoints as u64;
+        let d_mt = if mt.stalled || mt.truncated {
+            f64::INFINITY
+        } else {
+            // Per-probe against the baseline: an output that switched in
+            // CMOS but never under MTCMOS stalled (infinite delay), it is
+            // not a probe to skip.
+            mt.delay_over_baseline(outputs, &cmos).unwrap_or(d_cmos)
+        };
+        worst = worst.max((d_mt - d_cmos) / d_cmos);
+    }
+    Ok(worst)
+}
+
+/// [`worst_degradation_partitioned`] served from the store when an
+/// identical evaluation was recorded before (replaying its stored
+/// health), simulated and written through otherwise.
 #[allow(clippy::too_many_arguments)]
 fn eval_worst(
     engine: &Engine<'_>,
@@ -256,125 +306,32 @@ fn eval_worst(
             return Ok(worst);
         }
     }
-    let partition = PartitionedSleep {
-        assignment: assignment.to_vec(),
-        networks: sizes
-            .iter()
-            .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
-            .collect(),
-    };
-    let cmos_opts = VbsimOptions {
-        sleep: SleepNetwork::Cmos,
-        ..base.clone()
-    };
     let mut local = RunHealth::default();
-    let mut simulate = || -> Result<f64, CoreError> {
-        let mut worst = 0.0f64;
-        for tr in transitions {
-            stats.vectors += 1;
-            let cmos = engine.run_with(&tr.from, &tr.to, &cmos_opts, scratch)?;
-            local.absorb(&cmos.health);
-            stats.breakpoints += cmos.health.breakpoints as u64;
-            let Some(d_cmos) = cmos.delay_over(outputs) else {
-                continue;
-            };
-            let mt =
-                engine.run_partitioned_with(&tr.from, &tr.to, Some(&partition), base, scratch)?;
-            local.absorb(&mt.health);
-            stats.breakpoints += mt.health.breakpoints as u64;
-            let d_mt = if mt.stalled || mt.truncated {
-                f64::INFINITY
-            } else {
-                // Per-probe against the baseline: an output that
-                // switched in CMOS but never under MTCMOS stalled
-                // (infinite delay), it is not a probe to skip.
-                mt.delay_over_baseline(outputs, &cmos).unwrap_or(d_cmos)
-            };
-            worst = worst.max((d_mt - d_cmos) / d_cmos);
-        }
-        Ok(worst)
-    };
-    let result = simulate();
+    let result = worst_degradation_partitioned(
+        engine,
+        scratch,
+        transitions,
+        outputs,
+        assignment,
+        sizes,
+        base,
+        &mut local,
+        stats,
+    );
     run.absorb(&local);
-    match result {
-        Ok(worst) => {
-            if let Some(store) = store {
-                run.cache_misses += 1;
-                // A failed write degrades to recompute-on-rerun; it is
-                // not an error.
-                let _ = store.put(&key, &record::encode_eval(worst, &local));
-            }
-            Ok(worst)
-        }
-        Err(e) => {
-            if let CoreError::EventOverflow { events, .. } = e {
-                // The overflowing run's cost is real — count it.
-                run.breakpoints += events;
-                run.max_events = run.max_events.max(base.max_events);
-                stats.breakpoints += events as u64;
-            }
-            Err(e)
-        }
+    let worst = result?;
+    if let Some(store) = store {
+        run.cache_misses += 1;
+        // A failed write degrades to recompute-on-rerun; it is not an
+        // error.
+        let _ = store.put(&key, &record::encode_eval(worst, &local));
     }
+    Ok(worst)
 }
 
-/// One bisection attempt for one cluster: fault-injection check, then a
-/// log-space bisection of that cluster's device with every other
-/// cluster pinned at `hi`.
-#[allow(clippy::too_many_arguments)]
-fn cluster_attempt(
-    engine: &Engine<'_>,
-    scratch: &mut VbsimScratch,
-    g: usize,
-    n_clusters: usize,
-    assignment: &[usize],
-    transitions: &[Transition],
-    outputs: &[NetId],
-    target: f64,
-    (lo, hi): (f64, f64),
-    opts: &VbsimOptions,
-    fault: &FaultPlan,
-    attempt: usize,
-    store: Option<&mtk_store::Store>,
-    run: &mut RunHealth,
-    stats: &mut WorkerStats,
-) -> Result<f64, CoreError> {
-    fault.check(g, attempt)?;
-    let prefix = record::eval_key_prefix(engine, outputs, transitions, assignment, opts);
-    let (mut glo, mut ghi) = (lo, hi);
-    for _ in 0..24 {
-        let mid = (glo * ghi).sqrt();
-        let mut trial = vec![hi; n_clusters];
-        trial[g] = mid;
-        let worst = eval_worst(
-            engine,
-            scratch,
-            transitions,
-            outputs,
-            assignment,
-            &trial,
-            opts,
-            &prefix,
-            store,
-            run,
-            stats,
-        )?;
-        if worst > target {
-            glo = mid;
-        } else {
-            ghi = mid;
-        }
-        if ghi / glo < 1.02 {
-            break;
-        }
-    }
-    Ok(ghi)
-}
-
-/// One per-cluster work item under the retry policy: a first attempt at
-/// the caller's breakpoint budget, then — only for
-/// [`CoreError::EventOverflow`] — one retry relaxed by
-/// [`RETRY_BUDGET_FACTOR`].
+/// One per-cluster work item under the overflow-retry policy
+/// ([`with_overflow_retry`]): a log-space bisection of cluster `g`'s
+/// device with every other cluster pinned at `hi`.
 #[allow(clippy::too_many_arguments)]
 fn cluster_item(
     engine: &Engine<'_>,
@@ -385,60 +342,43 @@ fn cluster_item(
     transitions: &[Transition],
     outputs: &[NetId],
     target: f64,
-    bracket: (f64, f64),
+    (lo, hi): (f64, f64),
     base: &VbsimOptions,
     fault: &FaultPlan,
     store: Option<&mtk_store::Store>,
     stats: &mut WorkerStats,
 ) -> ItemReport<f64> {
-    let mut run = RunHealth::default();
-    let mut value = cluster_attempt(
-        engine,
-        scratch,
-        g,
-        n_clusters,
-        assignment,
-        transitions,
-        outputs,
-        target,
-        bracket,
-        base,
-        fault,
-        0,
-        store,
-        &mut run,
-        stats,
-    );
-    let mut retried = false;
-    if matches!(value, Err(CoreError::EventOverflow { .. })) {
-        retried = true;
-        let relaxed = VbsimOptions {
-            max_events: base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
-            ..base.clone()
-        };
-        value = cluster_attempt(
-            engine,
-            scratch,
-            g,
-            n_clusters,
-            assignment,
-            transitions,
-            outputs,
-            target,
-            bracket,
-            &relaxed,
-            fault,
-            1,
-            store,
-            &mut run,
-            stats,
-        );
-    }
-    ItemReport {
-        value,
-        retried,
-        run,
-    }
+    with_overflow_retry(g, base, fault, |opts, run| {
+        let prefix = record::eval_key_prefix(engine, outputs, transitions, assignment, opts);
+        let (mut glo, mut ghi) = (lo, hi);
+        for _ in 0..24 {
+            let mid = (glo * ghi).sqrt();
+            let mut trial = vec![hi; n_clusters];
+            trial[g] = mid;
+            let worst = eval_worst(
+                engine,
+                scratch,
+                transitions,
+                outputs,
+                assignment,
+                &trial,
+                opts,
+                &prefix,
+                store,
+                run,
+                stats,
+            )?;
+            if worst > target {
+                glo = mid;
+            } else {
+                ghi = mid;
+            }
+            if ghi / glo < 1.02 {
+                break;
+            }
+        }
+        Ok(ghi)
+    })
 }
 
 /// The chosen sleep configuration of one [`size_clusters_for_target`]
@@ -451,9 +391,9 @@ pub struct ClusterSizing {
     pub assignment: Vec<usize>,
     /// W/L per cluster of the returned solution.
     pub w_over_ls: Vec<f64>,
-    /// Total sleep width of the clustered candidate (before the
-    /// never-worse comparison).
-    pub clustered_width: f64,
+    /// W/L per cluster of the clustered candidate (before the
+    /// never-worse comparison), indexed like the partition's clusters.
+    pub clustered_w_over_ls: Vec<f64>,
     /// The single shared device sized for the same target, when
     /// feasible — the never-worse comparison baseline.
     pub single_w_over_l: Option<f64>,
@@ -466,6 +406,11 @@ impl ClusterSizing {
     /// Total sleep width of the returned solution.
     pub fn total_width(&self) -> f64 {
         self.w_over_ls.iter().sum()
+    }
+
+    /// Total sleep width of the clustered candidate.
+    pub fn clustered_width(&self) -> f64 {
+        self.clustered_w_over_ls.iter().sum()
     }
 }
 
@@ -542,6 +487,8 @@ impl ClusterReport {
 ///
 /// # Errors
 ///
+/// * [`CoreError::InvalidOptions`] unless both bracket bounds are
+///   finite and `0 < lo < hi`.
 /// * [`CoreError::SizingInfeasible`] when even all-`hi` misses the
 ///   target.
 /// * Under [`FailurePolicy::FailFast`], the error of the
@@ -552,8 +499,8 @@ impl ClusterReport {
 ///
 /// # Panics
 ///
-/// Panics on an empty netlist, a partition whose assignment length
-/// disagrees with the cell count, or an invalid bracket.
+/// Panics on an empty netlist or a partition whose assignment length
+/// disagrees with the cell count.
 #[allow(clippy::too_many_arguments)]
 pub fn size_clusters_for_target(
     netlist: &Netlist,
@@ -573,7 +520,7 @@ pub fn size_clusters_for_target(
         partition.assignment.len() == netlist.cells().len() && !partition.assignment.is_empty(),
         "partition must cover a non-empty netlist"
     );
-    assert!(lo > 0.0 && hi > lo, "invalid sizing bracket");
+    check_bracket(lo, hi)?;
     let t0 = Instant::now();
     let n = partition.n_clusters;
     let outputs: Vec<NetId> = match probes {
@@ -713,15 +660,15 @@ pub fn size_clusters_for_target(
         ClusterSizing {
             assignment: single_assignment,
             w_over_ls: vec![single_w_over_l.unwrap()],
-            clustered_width,
+            clustered_w_over_ls: sizes,
             single_w_over_l,
             fell_back,
         }
     } else {
         ClusterSizing {
             assignment: partition.assignment.clone(),
-            w_over_ls: sizes,
-            clustered_width,
+            w_over_ls: sizes.clone(),
+            clustered_w_over_ls: sizes,
             single_w_over_l,
             fell_back,
         }
@@ -746,7 +693,7 @@ pub fn size_clusters_for_target(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtk_circuits::tree::InverterTree;
+    use mtk_circuits::tree::{double_tree, InverterTree, TreeSpec};
     use mtk_netlist::cell::CellKind;
 
     fn two_inverters() -> Netlist {
@@ -855,6 +802,150 @@ mod tests {
         assert!(matches!(err, CoreError::Netlist(_)));
     }
 
+    /// A hand-built partition: the clustering a caller fixes up front
+    /// (one cluster per module or per pipeline stage).
+    fn fixed(assignment: Vec<usize>) -> ExclusivePartition {
+        let n_clusters = assignment.iter().max().map_or(0, |&g| g + 1);
+        ExclusivePartition {
+            assignment,
+            n_clusters,
+            conflict_edges: 0,
+            folded: 0,
+        }
+    }
+
+    /// The paper tree with one cluster per stage (1, 3 and 9 inverters).
+    fn per_stage() -> ExclusivePartition {
+        let mut assignment = vec![0, 1, 1, 1];
+        assignment.extend([2; 9]);
+        fixed(assignment)
+    }
+
+    #[test]
+    fn tree_stage_partition_decouples_stages() {
+        // In the Fig 4 tree, stage 0 and stage 2 both discharge on a
+        // rising input. With one shared device they interact; with one
+        // device per stage (same per-device size!) each stage sees only
+        // its own current, so the delay improves.
+        let tree = InverterTree::paper();
+        let tech = Technology::l07();
+        let engine = Engine::new(&tree.netlist, &tech);
+        let wl = 5.0;
+        let single = engine
+            .run(&[Zero], &[One], &VbsimOptions::mtcmos(wl))
+            .unwrap();
+        let partition = PartitionedSleep {
+            assignment: per_stage().assignment,
+            networks: vec![SleepNetwork::Transistor { w_over_l: wl }; 3],
+        };
+        let multi = engine
+            .run_partitioned(&[Zero], &[One], Some(&partition), &VbsimOptions::cmos())
+            .unwrap();
+        let d_single = single.delay_over(tree.leaves()).unwrap();
+        let d_multi = multi.delay_over(tree.leaves()).unwrap();
+        assert!(
+            d_multi < d_single,
+            "partitioned {d_multi} should beat shared {d_single}"
+        );
+    }
+
+    /// Sizes a fixed partition serially with the sleep devices taken
+    /// from the partition alone.
+    fn size_fixed(
+        netlist: &Netlist,
+        transitions: &[Transition],
+        partition: &ExclusivePartition,
+        target: f64,
+        bracket: (f64, f64),
+    ) -> ClusterSizing {
+        let (sizing, _) = size_clusters_for_target(
+            netlist,
+            &Technology::l07(),
+            transitions,
+            None,
+            partition,
+            target,
+            bracket,
+            &VbsimOptions::cmos(),
+            1,
+            FailurePolicy::FailFast,
+            &FaultPlan::none(),
+            None,
+        )
+        .unwrap();
+        sizing
+    }
+
+    fn bits(w_over_ls: &[f64]) -> Vec<u64> {
+        w_over_ls.iter().map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn per_stage_sizing_pins_the_paper_tree() {
+        // One device per stage of the Fig 4 tree, 20 % target. The
+        // clustered candidate tracks per-stage current: the nine
+        // discharging gates of stage 2 get the widest device, stage 1
+        // (which only charges on a rising input) the narrowest. The
+        // stages lie on one path, so each device buys only part of the
+        // budget and the single shared device wins the never-worse rule.
+        let tree = InverterTree::paper();
+        let trs = [tr(&[Zero], &[One])];
+        let partition = per_stage();
+        let sizing = size_fixed(&tree.netlist, &trs, &partition, 0.20, (0.5, 400.0));
+        let worst = worst_degradation_partitioned(
+            &Engine::new(&tree.netlist, &Technology::l07()),
+            &mut VbsimScratch::new(),
+            &trs,
+            tree.netlist.primary_outputs(),
+            &partition.assignment,
+            &sizing.clustered_w_over_ls,
+            &VbsimOptions::cmos(),
+            &mut RunHealth::default(),
+            &mut WorkerStats::default(),
+        )
+        .unwrap();
+        assert!(
+            worst <= 0.20,
+            "clustered candidate misses the target: {worst}"
+        );
+        assert_eq!(
+            bits(&sizing.clustered_w_over_ls),
+            [
+                0x4018_ce5c_1099_511d,
+                0x3ff0_ce8a_89c1_a0fb,
+                0x4044_0ee7_5258_1639
+            ],
+            "{:?}",
+            sizing.clustered_w_over_ls
+        );
+        assert_eq!(sizing.clustered_width(), 47.36838254020657);
+        assert!(sizing.fell_back);
+    }
+
+    #[test]
+    fn per_tree_sizing_pins_ext_modules() {
+        // EXT-MODULES: two independent trees, one device per tree, sized
+        // under the exclusive workload (one tree rises at a time).
+        let (nl, per_tree) = double_tree(&TreeSpec::default()).unwrap();
+        let partition = fixed(
+            (0..nl.cells().len())
+                .map(|c| usize::from(c >= per_tree))
+                .collect(),
+        );
+        let trs = [
+            tr(&[Zero, Zero], &[One, Zero]),
+            tr(&[Zero, Zero], &[Zero, One]),
+        ];
+        let sizing = size_fixed(&nl, &trs, &partition, 0.10, (0.5, 2000.0));
+        assert_eq!(
+            bits(&sizing.clustered_w_over_ls),
+            [0x4047_b4a5_60ae_cd89; 2],
+            "{:?}",
+            sizing.clustered_w_over_ls
+        );
+        assert_eq!(sizing.clustered_width(), 94.8225938517627);
+    }
+
     fn size_tree(
         threads: usize,
         policy: FailurePolicy,
@@ -900,13 +991,16 @@ mod tests {
         let tree = InverterTree::paper();
         let tech = Technology::l07();
         let engine = Engine::new(&tree.netlist, &tech);
-        let worst = crate::modules::worst_degradation_partitioned(
+        let worst = worst_degradation_partitioned(
             &engine,
+            &mut VbsimScratch::new(),
             &[tr(&[Zero], &[One]), tr(&[One], &[Zero])],
-            None,
+            tree.netlist.primary_outputs(),
             &sizing.assignment,
             &sizing.w_over_ls,
             &VbsimOptions::cmos(),
+            &mut RunHealth::default(),
+            &mut WorkerStats::default(),
         )
         .unwrap();
         assert!(worst <= 0.20 + 1e-9, "worst {worst}");

@@ -14,6 +14,10 @@
 //!   per-run counters.
 //! * [`FailurePolicy`] — fail-fast (the historical `?` behaviour) vs.
 //!   quarantine-with-a-cap.
+//! * `with_overflow_retry` / `charge_overflow` — the one overflow-retry
+//!   policy every sweep's work items run under: an `EventOverflow` run's
+//!   breakpoints are charged, and the item gets one retry at
+//!   [`RETRY_BUDGET_FACTOR`]× budget.
 //! * [`FaultPlan`] — a deterministic fault-injection harness, keyed off
 //!   [`mtk_num::prng`] per-index streams, used by tests to drive every
 //!   degraded path without touching the simulator itself.
@@ -23,7 +27,8 @@
 //!   set and every surviving result are bit-identical at any thread
 //!   count — the same contract [`crate::par`] pins for healthy sweeps.
 
-use crate::par::ItemPanic;
+use crate::par::{ItemPanic, WorkerStats};
+use crate::vbsim::VbsimOptions;
 use crate::CoreError;
 use mtk_num::prng::Xoshiro256pp;
 use mtk_trace::{CounterId, CounterSet, Histogram, PhaseTrace};
@@ -31,6 +36,54 @@ use mtk_trace::{CounterId, CounterSet, Histogram, PhaseTrace};
 /// Factor by which the breakpoint budget is relaxed for the single
 /// automatic retry of an [`CoreError::EventOverflow`] item.
 pub const RETRY_BUDGET_FACTOR: usize = 4;
+
+/// Charges the cost of a failed simulator run: an
+/// [`CoreError::EventOverflow`] run really processed its `events`
+/// breakpoints against `budget`, so they count in the item's health and
+/// the worker's counters. Any other error costs nothing.
+pub(crate) fn charge_overflow(
+    error: &CoreError,
+    budget: usize,
+    run: &mut RunHealth,
+    stats: &mut WorkerStats,
+) {
+    if let CoreError::EventOverflow { events, .. } = *error {
+        run.breakpoints += events;
+        run.max_events = run.max_events.max(budget);
+        stats.breakpoints += events as u64;
+    }
+}
+
+/// Runs work item `index` under the overflow-retry policy every sweep
+/// shares: `fault.check(index, 0)` then `attempt` at the caller's
+/// options; only for [`CoreError::EventOverflow`], `fault.check(index,
+/// 1)` then one retry with the breakpoint budget relaxed by
+/// [`RETRY_BUDGET_FACTOR`]. Both attempts accumulate into one
+/// [`RunHealth`].
+pub(crate) fn with_overflow_retry<R>(
+    index: usize,
+    base: &VbsimOptions,
+    fault: &FaultPlan,
+    mut attempt: impl FnMut(&VbsimOptions, &mut RunHealth) -> Result<R, CoreError>,
+) -> ItemReport<R> {
+    let mut run = RunHealth::default();
+    let mut value = fault.check(index, 0).and_then(|()| attempt(base, &mut run));
+    let retried = matches!(value, Err(CoreError::EventOverflow { .. }));
+    if retried {
+        let relaxed = VbsimOptions {
+            max_events: base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
+            ..base.clone()
+        };
+        value = fault
+            .check(index, 1)
+            .and_then(|()| attempt(&relaxed, &mut run));
+    }
+    ItemReport {
+        value,
+        retried,
+        run,
+    }
+}
 
 /// Observability counters for one switch-level simulator run. These
 /// describe *fallback machinery that fired*, not results: two runs with
@@ -52,7 +105,7 @@ pub struct RunHealth {
     pub vx_fallbacks: usize,
     /// Simulator legs served from a [`crate::sizing::ScreeningCache`]
     /// instead of re-simulated. Always 0 on the health of a raw engine
-    /// run; only the `_cached` sizing entry points count here.
+    /// run; only the sizing entry points that take a cache count here.
     pub cache_hits: usize,
     /// Simulator legs computed and inserted into a screening cache.
     pub cache_misses: usize,

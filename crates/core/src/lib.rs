@@ -29,8 +29,10 @@
 //!   screening and search phases, with per-worker cost counters.
 //! * [`energy`] — sleep-device switching-energy overhead, standby
 //!   leakage savings, and break-even idle time (§2.1's cost triangle).
-//! * [`modules`] — per-module sleep transistors and hierarchical sizing
-//!   (the paper's future-work direction).
+//! * [`cluster`] — per-cluster sleep transistors (the paper's
+//!   future-work direction): clusters of mutually exclusive discharging
+//!   gates, or any fixed partition such as one per module, sized against
+//!   a shared degradation target.
 //! * [`record`] — the one byte codec for persistent store records: the
 //!   tag registry and the screening-leg, Monte Carlo and cluster layouts.
 //!
@@ -70,7 +72,6 @@ pub mod health;
 pub mod hybrid;
 pub mod mc;
 pub mod model;
-pub mod modules;
 pub mod par;
 pub mod record;
 pub mod search;

@@ -24,9 +24,10 @@
 //!
 //! Degraded paths route through the standard machinery: an
 //! `EventOverflow` trial gets one retry at a budget relaxed by
-//! [`RETRY_BUDGET_FACTOR`], failures land in the [`SweepHealth`]
-//! quarantine under the caller's [`FailurePolicy`], and everything
-//! observable flows through the [`mtk_trace`] registry — never stderr.
+//! [`crate::health::RETRY_BUDGET_FACTOR`], failures land in the
+//! [`SweepHealth`] quarantine under the caller's [`FailurePolicy`], and
+//! everything observable flows through the [`mtk_trace`] registry —
+//! never stderr.
 //!
 //! # Persistent store
 //!
@@ -40,8 +41,8 @@
 //! and are never surfaced as errors.
 
 use crate::health::{
-    fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
-    RETRY_BUDGET_FACTOR,
+    charge_overflow, fold_item_reports, with_overflow_retry, FailurePolicy, FaultPlan, ItemReport,
+    RunHealth, SweepHealth,
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::record;
@@ -177,11 +178,7 @@ fn run_trial_leg(
             })
         }
         Err(e) => {
-            if let CoreError::EventOverflow { events, .. } = e {
-                run.breakpoints += events;
-                run.max_events = run.max_events.max(opts.max_events);
-                stats.breakpoints += events as u64;
-            }
+            charge_overflow(&e, opts.max_events, run, stats);
             Err(e)
         }
     }
@@ -213,7 +210,8 @@ fn leg_degradation(d_cmos: f64, baseline: &[Option<f64>], mt: &TrialLeg) -> f64 
     .degradation()
 }
 
-/// One Monte Carlo trial attempt at one breakpoint budget.
+/// One Monte Carlo trial attempt under `base` (the sweep's simulator
+/// options, or their relaxed-budget retry).
 #[allow(clippy::too_many_arguments)]
 fn trial_attempt(
     netlist: &Netlist,
@@ -221,15 +219,12 @@ fn trial_attempt(
     transitions: &[Transition],
     probes: Option<&[NetId]>,
     opts: &McOptions,
-    budget: usize,
+    base: &VbsimOptions,
     index: usize,
-    attempt: usize,
-    fault: &FaultPlan,
     scratch: &mut VbsimScratch,
     run: &mut RunHealth,
     stats: &mut WorkerStats,
 ) -> Result<TrialSample, CoreError> {
-    fault.check(index, attempt)?;
     let mut rng = Xoshiro256pp::stream(opts.seed, index as u64);
     let (tech_p, w_scale) = perturb_technology(tech, &mut rng);
     let engine = Engine::new(netlist, &tech_p);
@@ -239,8 +234,7 @@ fn trial_attempt(
     };
     let leg_opts = |sleep: SleepNetwork| VbsimOptions {
         sleep,
-        max_events: budget,
-        ..opts.base.clone()
+        ..base.clone()
     };
     let mt_opts = |w: f64| {
         leg_opts(SleepNetwork::Transistor {
@@ -301,9 +295,10 @@ fn trial_attempt(
     })
 }
 
-/// One Monte Carlo work item: store lookup, first attempt, and — only
-/// for [`CoreError::EventOverflow`] — one retry at a budget relaxed by
-/// [`RETRY_BUDGET_FACTOR`], with write-through of the result.
+/// One Monte Carlo work item: store lookup, then the trial under the
+/// overflow-retry policy (one retry at a budget relaxed by
+/// [`crate::health::RETRY_BUDGET_FACTOR`]), with write-through of the
+/// result.
 #[allow(clippy::too_many_arguments)]
 fn mc_item(
     netlist: &Netlist,
@@ -331,50 +326,30 @@ fn mc_item(
             };
         }
     }
-    let mut run = RunHealth::default();
-    let mut value = trial_attempt(
-        netlist,
-        tech,
-        transitions,
-        probes,
-        opts,
-        opts.base.max_events,
-        index,
-        0,
-        fault,
-        scratch,
-        &mut run,
-        stats,
-    );
-    let mut retried = false;
-    if matches!(value, Err(CoreError::EventOverflow { .. })) {
-        retried = true;
-        value = trial_attempt(
+    let report = with_overflow_retry(index, &opts.base, fault, |base, run| {
+        trial_attempt(
             netlist,
             tech,
             transitions,
             probes,
             opts,
-            opts.base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
+            base,
             index,
-            1,
-            fault,
             scratch,
-            &mut run,
+            run,
             stats,
-        );
-    }
-    if let (Some(store), Ok(sample)) = (store, &value) {
+        )
+    });
+    if let (Some(store), Ok(sample)) = (store, &report.value) {
         // A failed write degrades the store to recompute-only; it is
         // never an error for the sweep.
         let key = record::trial_key(key_prefix, index);
-        let _ = store.put(&key, &record::encode_trial(sample, retried, &run));
+        let _ = store.put(
+            &key,
+            &record::encode_trial(sample, report.retried, &report.run),
+        );
     }
-    ItemReport {
-        value,
-        retried,
-        run,
-    }
+    report
 }
 
 /// Result of one [`run_mc`] sweep.

@@ -9,17 +9,16 @@
 //! times larger than necessary").
 
 use crate::health::{
-    fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
-    RETRY_BUDGET_FACTOR,
+    charge_overflow, fold_item_reports, with_overflow_retry, FailurePolicy, FaultPlan, ItemReport,
+    RunHealth, SweepHealth,
 };
-use crate::par::{try_parallel_map_with, ItemPanic, WorkerStats};
+use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::record;
 use crate::vbsim::{Engine, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
 use mtk_netlist::tech::Technology;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One input-vector transition, as primary-input logic levels.
@@ -208,8 +207,8 @@ fn pair_from_legs(cmos: &LegResult, mt: &LegResult) -> (Option<DelayPair>, RunHe
 
 /// A deterministic memo of switch-level simulator legs, keyed by the
 /// encoded `leg1` record key ([`crate::record`]): everything that
-/// determines a leg's result. The sizing
-/// entry points (`*_cached`) consult it before simulating, so a
+/// determines a leg's result. [`size_for_target_cached`] and
+/// [`degradation_sweep`] consult it before simulating, so a
 /// bisection that probes the same transition at many sleep sizes pays
 /// for its CMOS baseline once, and a repeated sweep pays for nothing.
 ///
@@ -397,11 +396,7 @@ fn count_cache_legs(health: &mut RunHealth, leg_hits: &[bool]) {
 /// call; the returned health additionally carries
 /// [`RunHealth::cache_hits`] / [`RunHealth::cache_misses`] for the legs
 /// this call needed.
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_cached_with(
+fn vbsim_delay_pair_cached_with(
     engine: &Engine<'_>,
     tr: &Transition,
     probes: Option<&[NetId]>,
@@ -433,34 +428,16 @@ pub struct SweepPoint {
 }
 
 /// Sweeps sleep-transistor sizes for one transition (the Fig 7 / Fig 10 /
-/// Fig 13 x-axis).
+/// Fig 13 x-axis) through a caller-owned [`ScreeningCache`]: the CMOS
+/// baseline is simulated at most once, and legs already in the cache
+/// (e.g. from a previous sweep of the same transition) are not rerun.
+/// Sweep points are bit-identical whatever the cache holds; the summed
+/// [`RunHealth`] reports the per-leg cache traffic.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
 pub fn degradation_sweep(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sizes: &[f64],
-    base: &VbsimOptions,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    // A throwaway cache still pays off within one call: the CMOS
-    // baseline leg is shared by every size.
-    let cache = ScreeningCache::new();
-    degradation_sweep_cached(engine, tr, probes, sizes, base, &cache).map(|(out, _)| out)
-}
-
-/// [`degradation_sweep`] through a caller-owned [`ScreeningCache`]:
-/// sweep points are bit-identical to the uncached call, the CMOS
-/// baseline is simulated at most once, and legs already in the cache
-/// (e.g. from a previous sweep of the same transition) are not rerun.
-/// The summed [`RunHealth`] reports the per-leg cache traffic.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn degradation_sweep_cached(
     engine: &Engine<'_>,
     tr: &Transition,
     probes: Option<&[NetId]>,
@@ -496,86 +473,16 @@ pub fn degradation_sweep_cached(
 /// measured delays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenedVector {
-    /// Index into the transition slice passed to [`screen_vectors`].
+    /// Index into the transition slice passed to
+    /// [`screen_vectors_par_quarantined`].
     pub index: usize,
     /// Delays at the screening size.
     pub delays: DelayPair,
 }
 
-/// The screening tool (§5, §7): runs every transition through the
-/// switch-level simulator at a fixed sleep size and returns those that
-/// switch the probes, sorted worst-degradation first. The top of this
-/// list is what one then verifies "with a more detailed simulator like
-/// SPICE".
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn screen_vectors(
-    engine: &Engine<'_>,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    base: &VbsimOptions,
-) -> Result<Vec<ScreenedVector>, CoreError> {
-    screen_vectors_quarantined(
-        engine,
-        transitions,
-        probes,
-        w_over_l,
-        base,
-        FailurePolicy::FailFast,
-        &FaultPlan::none(),
-    )
-    .map(|(screened, _)| screened)
-}
-
-/// One screening attempt of one transition: fault-injection check, then
-/// the CMOS/MTCMOS delay pair, with health and worker counters updated.
-#[allow(clippy::too_many_arguments)]
-fn screen_attempt(
-    engine: &Engine<'_>,
-    scratch: &mut VbsimScratch,
-    index: usize,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    opts: &VbsimOptions,
-    fault: &FaultPlan,
-    attempt: usize,
-    run: &mut RunHealth,
-    stats: &mut WorkerStats,
-) -> Result<Option<ScreenedVector>, CoreError> {
-    fault.check(index, attempt)?;
-    let result = vbsim_delay_pair_health_with(
-        engine,
-        tr,
-        probes,
-        SleepNetwork::Transistor { w_over_l },
-        opts,
-        scratch,
-    );
-    match result {
-        Ok((pair, health)) => {
-            run.absorb(&health);
-            stats.breakpoints += health.breakpoints as u64;
-            Ok(pair.map(|delays| ScreenedVector { index, delays }))
-        }
-        Err(e) => {
-            if let CoreError::EventOverflow { events, .. } = e {
-                // The overflowing run's cost is real — count it.
-                run.breakpoints += events;
-                run.max_events = run.max_events.max(opts.max_events);
-                stats.breakpoints += events as u64;
-            }
-            Err(e)
-        }
-    }
-}
-
-/// One screening work item under the retry policy: a first attempt at
-/// the caller's budget, then — only for [`CoreError::EventOverflow`] —
-/// one retry at a budget relaxed by [`RETRY_BUDGET_FACTOR`].
+/// One screening work item under the overflow-retry policy
+/// ([`with_overflow_retry`]): the CMOS/MTCMOS delay pair of one
+/// transition, with health and worker counters updated.
 #[allow(clippy::too_many_arguments)]
 fn screen_item(
     engine: &Engine<'_>,
@@ -589,97 +496,23 @@ fn screen_item(
     stats: &mut WorkerStats,
 ) -> ItemReport<Option<ScreenedVector>> {
     stats.vectors += 1;
-    let mut run = RunHealth::default();
-    let mut value = screen_attempt(
-        engine, scratch, index, tr, probes, w_over_l, base, fault, 0, &mut run, stats,
-    );
-    let mut retried = false;
-    if matches!(value, Err(CoreError::EventOverflow { .. })) {
-        retried = true;
-        let relaxed = VbsimOptions {
-            max_events: base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
-            ..base.clone()
-        };
-        value = screen_attempt(
-            engine, scratch, index, tr, probes, w_over_l, &relaxed, fault, 1, &mut run, stats,
-        );
-    }
-    ItemReport {
-        value,
-        retried,
-        run,
-    }
+    with_overflow_retry(index, base, fault, |opts, run| {
+        let sleep = SleepNetwork::Transistor { w_over_l };
+        match vbsim_delay_pair_health_with(engine, tr, probes, sleep, opts, scratch) {
+            Ok((pair, health)) => {
+                run.absorb(&health);
+                stats.breakpoints += health.breakpoints as u64;
+                Ok(pair.map(|delays| ScreenedVector { index, delays }))
+            }
+            Err(e) => {
+                charge_overflow(&e, opts.max_events, run, stats);
+                Err(e)
+            }
+        }
+    })
 }
 
-/// [`screen_vectors`] with quarantine semantics: per-transition failures
-/// (including panics, caught at the item boundary) are collected
-/// index-ordered in the returned [`SweepHealth`] under
-/// [`FailurePolicy::Quarantine`] instead of aborting the sweep, and
-/// `EventOverflow` transitions get one automatic retry at a relaxed
-/// breakpoint budget before being quarantined. `fault` injects
-/// deterministic failures for testing ([`FaultPlan::none`] in
-/// production).
-///
-/// # Errors
-///
-/// * Under [`FailurePolicy::FailFast`], the error of the lowest-indexed
-///   failing transition.
-/// * Under [`FailurePolicy::Quarantine`],
-///   [`CoreError::TooManyFailures`] when more than `max_failures`
-///   transitions fail.
-pub fn screen_vectors_quarantined(
-    engine: &Engine<'_>,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    base: &VbsimOptions,
-    policy: FailurePolicy,
-    fault: &FaultPlan,
-) -> Result<(Vec<ScreenedVector>, SweepHealth), CoreError> {
-    let mut stats = WorkerStats::default();
-    let mut scratch = VbsimScratch::new();
-    let reports: Vec<Result<ItemReport<Option<ScreenedVector>>, ItemPanic>> = transitions
-        .iter()
-        .enumerate()
-        .map(|(index, tr)| {
-            catch_unwind(AssertUnwindSafe(|| {
-                screen_item(
-                    engine,
-                    &mut scratch,
-                    index,
-                    tr,
-                    probes,
-                    w_over_l,
-                    base,
-                    fault,
-                    &mut stats,
-                )
-            }))
-            .map_err(|payload| ItemPanic {
-                index,
-                message: crate::par::panic_message(payload),
-            })
-        })
-        .collect();
-    let (values, health) = fold_item_reports(reports, policy)?;
-    let mut out: Vec<ScreenedVector> = values.into_iter().flatten().flatten().collect();
-    sort_worst_first(&mut out);
-    Ok((out, health))
-}
-
-/// Worst-degradation-first ordering shared by the serial and parallel
-/// screeners. The sort is stable, so ties keep transition-index order and
-/// the result is identical however the measurements were scheduled.
-fn sort_worst_first(screened: &mut [ScreenedVector]) {
-    screened.sort_by(|a, b| {
-        b.delays
-            .degradation()
-            .partial_cmp(&a.delays.degradation())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-}
-
-/// Execution report of one [`screen_vectors_par`] call.
+/// Execution report of one [`screen_vectors_par_quarantined`] call.
 #[derive(Debug)]
 pub struct ScreenReport {
     /// Per-worker counters (vectors simulated, breakpoints solved, busy
@@ -703,48 +536,30 @@ impl ScreenReport {
     }
 }
 
-/// Parallel [`screen_vectors`]: shards the transitions across worker
-/// threads, each owning its own [`Engine`] over the shared
-/// netlist/technology (engine setup is paid once per worker, not per
-/// vector). The returned ranking is bit-identical to the serial screener
-/// at any thread count.
+/// The screening tool (§5, §7): runs every transition through the
+/// switch-level simulator at a fixed sleep size and returns those that
+/// switch the probes, sorted worst-degradation first. The top of this
+/// list is what one then verifies "with a more detailed simulator like
+/// SPICE".
+///
+/// The transitions are sharded across `threads` workers (`1` runs
+/// inline), each owning its own [`Engine`] over the shared
+/// netlist/technology. Worker panics are caught at the item boundary by
+/// the executor; `EventOverflow` transitions get one retry at a relaxed
+/// breakpoint budget ([`crate::health::RETRY_BUDGET_FACTOR`]); failures,
+/// retries and fallback counters land index-ordered in `report.health`. The sort is
+/// stable (ties keep transition-index order), so both the ranking *and*
+/// the quarantine set are bit-identical at any thread count. `fault`
+/// injects deterministic failures for testing ([`FaultPlan::none`] in
+/// production).
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (the error of the lowest-indexed failing
-/// transition, deterministically).
-pub fn screen_vectors_par(
-    netlist: &Netlist,
-    tech: &Technology,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    base: &VbsimOptions,
-    threads: usize,
-) -> Result<(Vec<ScreenedVector>, ScreenReport), CoreError> {
-    screen_vectors_par_quarantined(
-        netlist,
-        tech,
-        transitions,
-        probes,
-        w_over_l,
-        base,
-        threads,
-        FailurePolicy::FailFast,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`screen_vectors_par`] with quarantine semantics — the parallel
-/// counterpart of [`screen_vectors_quarantined`]. Worker panics are
-/// caught at the item boundary by the executor; failures, retries and
-/// fallback counters land index-ordered in `report.health`, so both the
-/// ranking *and* the quarantine set are bit-identical at any thread
-/// count.
-///
-/// # Errors
-///
-/// As [`screen_vectors_quarantined`].
+/// * Under [`FailurePolicy::FailFast`], the error of the lowest-indexed
+///   failing transition.
+/// * Under [`FailurePolicy::Quarantine`],
+///   [`CoreError::TooManyFailures`] when more than `max_failures`
+///   transitions fail.
 #[allow(clippy::too_many_arguments)]
 pub fn screen_vectors_par_quarantined(
     netlist: &Netlist,
@@ -771,7 +586,12 @@ pub fn screen_vectors_par_quarantined(
     );
     let (values, health) = fold_item_reports(reports, policy)?;
     let mut out: Vec<ScreenedVector> = values.into_iter().flatten().flatten().collect();
-    sort_worst_first(&mut out);
+    out.sort_by(|a, b| {
+        b.delays
+            .degradation()
+            .partial_cmp(&a.delays.degradation())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     Ok((
         out,
         ScreenReport {
@@ -782,12 +602,31 @@ pub fn screen_vectors_par_quarantined(
     ))
 }
 
+/// Checks a sizing bracket `[lo, hi]`: both bounds finite, `lo > 0`
+/// and `hi > lo`. The bracket usually comes from a command line or a
+/// serve request, so a bad one is a labelled error, not a panic.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidOptions`] naming the rejected bracket.
+pub(crate) fn check_bracket(lo: f64, hi: f64) -> Result<(), CoreError> {
+    if lo.is_finite() && hi.is_finite() && lo > 0.0 && hi > lo {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidOptions(format!(
+            "sizing bracket [{lo}, {hi}] needs finite bounds with 0 < lo < hi"
+        )))
+    }
+}
+
 /// Binary-searches the smallest sleep W/L whose worst degradation over
 /// the given transitions is at most `target` (e.g. `0.05` for the
 /// paper's 5 % criterion), within `[lo, hi]`.
 ///
 /// # Errors
 ///
+/// * [`CoreError::InvalidOptions`] unless both bounds are finite and
+///   `0 < lo < hi`.
 /// * [`CoreError::SizingInfeasible`] when even `hi` misses the target.
 /// * Propagates simulator errors.
 pub fn size_for_target(
@@ -823,7 +662,7 @@ pub fn size_for_target_cached(
     base: &VbsimOptions,
     cache: &ScreeningCache,
 ) -> Result<(f64, RunHealth), CoreError> {
-    assert!(lo > 0.0 && hi > lo, "invalid sizing bracket");
+    check_bracket(lo, hi)?;
     let mut health = RunHealth::default();
     let mut scratch = VbsimScratch::new();
     let worst_degradation =
@@ -932,10 +771,11 @@ mod tests {
         let base = VbsimOptions::default();
         let sizes = [20.0, 11.0, 5.0];
 
-        let plain = degradation_sweep(&engine, &tr, None, &sizes, &base).unwrap();
+        let (plain, _) =
+            degradation_sweep(&engine, &tr, None, &sizes, &base, &ScreeningCache::new()).unwrap();
         let cache = ScreeningCache::new();
         let (cold, cold_health) =
-            degradation_sweep_cached(&engine, &tr, None, &sizes, &base, &cache).unwrap();
+            degradation_sweep(&engine, &tr, None, &sizes, &base, &cache).unwrap();
         assert_eq!(cold, plain);
         // Cold run: one CMOS baseline leg + one MTCMOS leg per size, and
         // the shared baseline already hits after its first computation.
@@ -945,7 +785,7 @@ mod tests {
 
         let misses_before = cache.misses();
         let (warm, warm_health) =
-            degradation_sweep_cached(&engine, &tr, None, &sizes, &base, &cache).unwrap();
+            degradation_sweep(&engine, &tr, None, &sizes, &base, &cache).unwrap();
         assert_eq!(warm, cold, "warm rerun must be bit-identical");
         assert_eq!(
             cache.misses(),
@@ -1066,12 +906,13 @@ mod tests {
         let tech = Technology::l07();
         let engine = Engine::new(&tree.netlist, &tech);
         let tr = tree_transition(&tree);
-        let sweep = degradation_sweep(
+        let (sweep, _) = degradation_sweep(
             &engine,
             &tr,
             None,
             &[20.0, 11.0, 5.0, 2.0],
             &VbsimOptions::default(),
+            &ScreeningCache::new(),
         )
         .unwrap();
         assert_eq!(sweep.len(), 4);
@@ -1143,6 +984,29 @@ mod tests {
     }
 
     #[test]
+    fn bad_bracket_is_an_invalid_options_error() {
+        let tree = InverterTree::paper();
+        let tech = Technology::l07();
+        let engine = Engine::new(&tree.netlist, &tech);
+        let tr = tree_transition(&tree);
+        for bracket in [(5.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, f64::INFINITY)] {
+            let err = size_for_target(
+                &engine,
+                std::slice::from_ref(&tr),
+                None,
+                0.05,
+                bracket,
+                &VbsimOptions::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidOptions(_)),
+                "{bracket:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn peak_current_formula() {
         let tech = Technology::l03();
         // The paper's own numbers: 1.174 mA, 50 mV budget → W/L ≈ 500
@@ -1161,7 +1025,6 @@ mod tests {
 
         let add = RippleAdder::paper();
         let tech = Technology::l07();
-        let engine = Engine::new(&add.netlist, &tech);
         // A slice of the exhaustive space keeps the test fast while still
         // exercising chunked sharding.
         let transitions: Vec<Transition> = exhaustive_transitions(6)
@@ -1170,9 +1033,8 @@ mod tests {
             .map(|p| Transition::new(bits_lsb_first(p.from, 6), bits_lsb_first(p.to, 6)))
             .collect();
         let base = VbsimOptions::default();
-        let serial = screen_vectors(&engine, &transitions, None, 10.0, &base).unwrap();
-        for threads in [1usize, 3, 8] {
-            let (par, report) = screen_vectors_par(
+        let screen = |threads| {
+            screen_vectors_par_quarantined(
                 &add.netlist,
                 &tech,
                 &transitions,
@@ -1180,8 +1042,14 @@ mod tests {
                 10.0,
                 &base,
                 threads,
+                FailurePolicy::FailFast,
+                &FaultPlan::none(),
             )
-            .unwrap();
+            .unwrap()
+        };
+        let (serial, _) = screen(1);
+        for threads in [1usize, 3, 8] {
+            let (par, report) = screen(threads);
             assert_eq!(par, serial, "threads={threads}");
             let vectors: u64 = report.workers.iter().map(|w| w.vectors).sum();
             assert_eq!(vectors as usize, transitions.len());
@@ -1193,14 +1061,24 @@ mod tests {
     fn screen_sorts_worst_first() {
         let tree = InverterTree::paper();
         let tech = Technology::l07();
-        let engine = Engine::new(&tree.netlist, &tech);
         // 0->1 discharges all nine leaves (bad); 1->0 charges them (good:
         // the NMOS sleep device does not slow pull-ups).
         let trs = vec![
             Transition::new(vec![Logic::One], vec![Logic::Zero]),
             Transition::new(vec![Logic::Zero], vec![Logic::One]),
         ];
-        let screened = screen_vectors(&engine, &trs, None, 5.0, &VbsimOptions::default()).unwrap();
+        let (screened, _) = screen_vectors_par_quarantined(
+            &tree.netlist,
+            &tech,
+            &trs,
+            None,
+            5.0,
+            &VbsimOptions::default(),
+            1,
+            FailurePolicy::FailFast,
+            &FaultPlan::none(),
+        )
+        .unwrap();
         assert_eq!(screened.len(), 2);
         assert_eq!(screened[0].index, 1, "rising input must be worse");
         assert!(screened[0].delays.degradation() > screened[1].delays.degradation());

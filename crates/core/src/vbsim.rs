@@ -52,7 +52,7 @@ impl SleepNetwork {
 
 /// A per-module sleep assignment: each cell belongs to one module, and
 /// each module has its own sleep network (the paper's future-work
-/// hierarchical structure; see [`crate::modules`]).
+/// hierarchical structure; see [`crate::cluster`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedSleep {
     /// Module index per cell (parallel to `Netlist::cells()`).

@@ -11,8 +11,10 @@
 //! Run with: `cargo run --release --example size_a_multiplier`
 
 use mtcmos_suite::circuits::multiplier::{ArrayMultiplier, MultiplierSpec};
+use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
 use mtcmos_suite::core::sizing::{
-    peak_current_w_over_l, screen_vectors_par, size_for_target, sum_of_widths_w_over_l, Transition,
+    peak_current_w_over_l, screen_vectors_par_quarantined, size_for_target, sum_of_widths_w_over_l,
+    Transition,
 };
 use mtcmos_suite::core::vbsim::{Engine, VbsimOptions};
 use mtcmos_suite::netlist::logic::bits_lsb_first;
@@ -47,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    let (screened, report) = screen_vectors_par(
+    let (screened, report) = screen_vectors_par_quarantined(
         &m.netlist,
         &tech,
         &transitions,
@@ -55,6 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0,
         &VbsimOptions::default(),
         0, // all cores
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
     )?;
     println!(
         "screened {} random transitions across {} worker(s) in {:.2} s; {} exercise the outputs",

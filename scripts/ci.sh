@@ -127,6 +127,23 @@ grep -q ", 0 simulated" <<<"$clu_warm" || {
   exit 1
 }
 
+echo "== EXT-MODULES: shared-device and per-tree widths match EXPERIMENTS.md =="
+# The per-tree row is the cluster sizer on a fixed two-cluster
+# partition; both widths must print as documented.
+mod_out="$(cargo run --release -p mtk-bench --bin ext_modules)"
+mod_doc="$(sed -n '/^## EXT-MODULES/,/^## EXT-STYLE/p' EXPERIMENTS.md | tr '\n' ' ')"
+doc_shared="$(sed -n 's/.*exclusive\* workload needs W\/L \([0-9.]*\);.*/\1/p' <<<"$mod_doc")"
+doc_total="$(sed -n 's/.* = \([0-9.]*\) total.*/\1/p' <<<"$mod_doc")"
+[ -n "$doc_shared" ] && [ -n "$doc_total" ] || {
+  echo "ci: EXPERIMENTS.md EXT-MODULES states no shared/per-tree width"; exit 1; }
+mod_shared="$(sed -n 's/^ *shared device, exclusive workload *\([0-9.]*\) .*/\1/p' <<<"$mod_out")"
+mod_total="$(sed -n 's/^one device per tree, exclusive workload .* \([0-9.]*\)$/\1/p' <<<"$mod_out")"
+if [ "$mod_shared" != "$doc_shared" ] || [ "$mod_total" != "$doc_total" ]; then
+  echo "ci: ext_modules shared $mod_shared / per-tree total $mod_total," \
+    "EXPERIMENTS.md says $doc_shared / $doc_total"
+  exit 1
+fi
+
 echo "== hybrid pipeline smoke (4-bit adder screen + top-2 SPICE verify) =="
 trace_json="$work/trace.json"
 cargo run --release -p mtk-bench --bin ext_screening -- \

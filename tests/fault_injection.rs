@@ -9,9 +9,7 @@ use mtcmos_suite::circuits::adder::RippleAdder;
 use mtcmos_suite::circuits::vectors::exhaustive_transitions;
 use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
 use mtcmos_suite::core::search::{search_worst_vector, SearchOptions};
-use mtcmos_suite::core::sizing::{
-    screen_vectors_par_quarantined, screen_vectors_quarantined, ScreenedVector, Transition,
-};
+use mtcmos_suite::core::sizing::{screen_vectors_par_quarantined, ScreenedVector, Transition};
 use mtcmos_suite::core::vbsim::{Engine, SleepNetwork, VbsimOptions};
 use mtcmos_suite::core::CoreError;
 use mtcmos_suite::netlist::logic::bits_lsb_first;
@@ -67,18 +65,19 @@ fn quarantine_set_and_survivors_are_thread_count_invariant() {
     let base = VbsimOptions::default();
 
     // Fault-free reference, minus the indices the plan will condemn.
-    let engine = Engine::new(&add.netlist, &tech);
-    let (clean, clean_health) = screen_vectors_quarantined(
-        &engine,
+    let (clean, clean_report) = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech,
         &transitions,
         None,
         W_OVER_L,
         &base,
+        1,
         FailurePolicy::FailFast,
         &FaultPlan::none(),
     )
     .expect("fault-free screen");
-    assert!(clean_health.is_clean());
+    assert!(clean_report.health.is_clean());
     let reference: Vec<ScreenedVector> = clean
         .into_iter()
         .filter(|e| ![3usize, 5, 9].contains(&e.index))
@@ -126,20 +125,6 @@ fn quarantine_set_and_survivors_are_thread_count_invariant() {
 
         assert_same_survivors(&screened, &reference, &ctx);
     }
-
-    // The serial quarantining screener agrees with the parallel one.
-    let (serial, serial_health) = screen_vectors_quarantined(
-        &engine,
-        &transitions,
-        None,
-        W_OVER_L,
-        &base,
-        FailurePolicy::quarantine(8),
-        &faults(),
-    )
-    .expect("serial quarantining screen");
-    assert_eq!(serial_health.quarantined_indices(), vec![3, 5, 9]);
-    assert_same_survivors(&serial, &reference, "serial");
 }
 
 #[test]

@@ -12,7 +12,8 @@ use mtcmos_suite::core::hybrid::{
     run_hybrid, spice_delay_pair, HybridOptions, HybridReport, SpiceRunConfig,
 };
 use mtcmos_suite::core::sizing::{
-    screen_vectors, size_for_target, size_for_target_cached, ScreeningCache, Transition,
+    screen_vectors_par_quarantined, size_for_target, size_for_target_cached, ScreeningCache,
+    Transition,
 };
 use mtcmos_suite::core::vbsim::{Engine, VbsimOptions};
 use mtcmos_suite::netlist::logic::bits_lsb_first;
@@ -168,9 +169,19 @@ fn cached_sizing_rerun_is_free_and_bit_identical() {
     let base = VbsimOptions::default();
     // The two worst screened transitions drive the sizing, as in the
     // paper's flow.
-    let screened =
-        screen_vectors(&engine, &adder_transitions(31), None, W_OVER_L, &base).expect("screen");
     let transitions = adder_transitions(31);
+    let (screened, _) = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech,
+        &transitions,
+        None,
+        W_OVER_L,
+        &base,
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+    )
+    .expect("screen");
     let worst: Vec<Transition> = screened[..2]
         .iter()
         .map(|s| transitions[s.index].clone())

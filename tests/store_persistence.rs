@@ -6,7 +6,7 @@
 
 use mtcmos_suite::circuits::tree::InverterTree;
 use mtcmos_suite::core::sizing::{
-    degradation_sweep_cached, size_for_target_cached, ScreeningCache, Transition,
+    degradation_sweep, size_for_target_cached, ScreeningCache, Transition,
 };
 use mtcmos_suite::core::vbsim::{Engine, VbsimOptions};
 use mtcmos_suite::netlist::logic::Logic;
@@ -42,7 +42,7 @@ fn warm_rerun_across_processes_does_zero_simulator_work() {
     // "Process 1": cold run against an empty store.
     let cold_cache = ScreeningCache::persistent(&path).unwrap();
     let (cold, cold_health) =
-        degradation_sweep_cached(&engine, &tr, None, &sizes, &base, &cold_cache).unwrap();
+        degradation_sweep(&engine, &tr, None, &sizes, &base, &cold_cache).unwrap();
     let cold_snap = cold_cache.snapshot();
     assert_eq!(cold_snap.misses, 1 + sizes.len(), "cold run simulates");
     assert_eq!(cold_snap.store_hits, 0);
@@ -60,7 +60,7 @@ fn warm_rerun_across_processes_does_zero_simulator_work() {
     let warm_cache = ScreeningCache::persistent(&path).unwrap();
     assert!(warm_cache.is_empty(), "memory tier starts empty");
     let (warm, warm_health) =
-        degradation_sweep_cached(&engine, &tr, None, &sizes, &base, &warm_cache).unwrap();
+        degradation_sweep(&engine, &tr, None, &sizes, &base, &warm_cache).unwrap();
     assert_eq!(warm, cold, "cross-process warm rerun must be bit-identical");
     let warm_snap = warm_cache.snapshot();
     assert_eq!(warm_snap.misses, 0, "zero simulator work");
@@ -145,7 +145,7 @@ fn torn_final_record_loses_only_that_leg_and_is_counted() {
     let sizes = [20.0, 11.0, 5.0];
 
     let cache = ScreeningCache::persistent(&path).unwrap();
-    let (full, _) = degradation_sweep_cached(&engine, &tr, None, &sizes, &base, &cache).unwrap();
+    let (full, _) = degradation_sweep(&engine, &tr, None, &sizes, &base, &cache).unwrap();
     let records = cache.snapshot().store.unwrap().live_records;
     drop(cache);
 
@@ -159,8 +159,7 @@ fn torn_final_record_loses_only_that_leg_and_is_counted() {
     assert_eq!(stats.live_records, records - 1, "only the torn leg lost");
     assert_eq!(stats.corrupt_records, 1, "and the loss is visible");
     // The rerun heals: same answer, exactly one leg re-simulated.
-    let (again, _) =
-        degradation_sweep_cached(&engine, &tr, None, &sizes, &base, &recovered).unwrap();
+    let (again, _) = degradation_sweep(&engine, &tr, None, &sizes, &base, &recovered).unwrap();
     assert_eq!(again, full, "recovery must not change the answer");
     assert_eq!(recovered.snapshot().misses, 1, "one leg re-simulated");
     drop(recovered);

@@ -18,7 +18,7 @@ use mtcmos_suite::netlist::logic::bits_lsb_first;
 use mtcmos_suite::netlist::tech::Technology;
 use mtcmos_suite::trace::json::{parse, validate_report, JsonValue};
 use mtcmos_suite::trace::{
-    CounterId, PhaseTrace, Span, TraceMode, TraceReport, WorkerTrace, SCHEMA_VERSION,
+    CounterId, CounterKind, PhaseTrace, Span, TraceMode, TraceReport, WorkerTrace, SCHEMA_VERSION,
 };
 use std::collections::BTreeSet;
 
@@ -285,6 +285,59 @@ fn golden_schema_pins_every_key_path_to_the_version() {
         .cloned()
         .collect();
     assert_eq!(det, golden_det, "deterministic-mode schema drifted");
+}
+
+/// The documentation states the schema contract, so it is pinned to the
+/// code: DESIGN.md §10.2 lists every registry counter, in registry order,
+/// with its merge kind, and every `schema` sample in DESIGN.md and the
+/// README shows the current `SCHEMA_VERSION`.
+#[test]
+fn documented_counters_and_schema_version_match_the_code() {
+    let doc = |name: &str| {
+        std::fs::read_to_string(format!("{}/{name}", env!("CARGO_MANIFEST_DIR")))
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let design = doc("DESIGN.md");
+    let start = design
+        .find("### 10.2 Counter registry")
+        .expect("DESIGN.md §10.2");
+    let end = start + design[start..].find("### 10.3").expect("DESIGN.md §10.3");
+    let rows: Vec<(String, String)> = design[start..end]
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(|row| {
+            let (key, rest) = row.split_once('`').expect("closing backtick");
+            let kind = rest.split('|').nth(1).expect("kind column").trim();
+            (key.to_string(), kind.to_string())
+        })
+        .collect();
+    let registry: Vec<(String, String)> = CounterId::ALL
+        .iter()
+        .map(|c| {
+            let kind = match c.kind() {
+                CounterKind::Sum => "sum",
+                CounterKind::Max => "max",
+            };
+            (c.name().to_string(), kind.to_string())
+        })
+        .collect();
+    assert_eq!(rows, registry, "DESIGN.md §10.2 counter table drifted");
+
+    let sample =
+        format!("\"schema\": {{ \"name\": \"mtk-trace\", \"version\": {SCHEMA_VERSION} }}");
+    for (name, text) in [("DESIGN.md", design), ("README.md", doc("README.md"))] {
+        let samples: Vec<&str> = text
+            .lines()
+            .filter(|line| line.contains("\"schema\": {"))
+            .collect();
+        assert!(!samples.is_empty(), "{name} shows no schema sample");
+        for line in samples {
+            assert!(
+                line.contains(&sample),
+                "{name}: stale schema sample: {line}"
+            );
+        }
+    }
 }
 
 /// The bugfix contract: `ext_screening` and `ext_search` no longer carry
