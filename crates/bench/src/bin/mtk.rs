@@ -63,6 +63,10 @@
 //! sample i comes from PRNG stream (seed, i), so the set is identical
 //! at any thread count).
 //!
+//! `screen`, `size`, `cluster` and `hybrid` run through
+//! [`mtk_bench::job::run`], the runner `mtk serve` uses for the same
+//! requests, over one defaults table (DESIGN.md §11.4).
+//!
 //! All commands lint on load: findings are printed to stderr as
 //! warnings (only `lint` turns them into an exit code). Parse errors
 //! print a `file:line:col: error[E0xx]` diagnostic and exit 2 — never a
@@ -73,24 +77,22 @@ use mtk_bench::cli::{
     bool_flag, emit_trace, f64_flag, failure_policy, flag, str_flag, threads_label, trace_config,
 };
 use mtk_bench::design_transitions;
+use mtk_bench::job::{self, param, JobKind, JobRun, JobSpec, Outcome};
 use mtk_bench::report::{ns, pct, print_table};
 use mtk_bench::serve::{self, ServeConfig, Server};
 use mtk_circuits::golden::{generator_catalog, golden_designs};
-use mtk_core::cluster::{
-    exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
-};
+use mtk_core::cluster::ClusterReport;
 use mtk_core::health::FaultPlan;
-use mtk_core::hybrid::{run_hybrid, HybridOptions, SpiceRunConfig};
+use mtk_core::hybrid::SpiceRunConfig;
 use mtk_core::mc::{run_mc, McOptions};
-use mtk_core::sizing::{
-    screen_vectors_par_quarantined, size_for_target_cached, ScreeningCache, Transition,
-};
+use mtk_core::sizing::{ScreeningCache, Transition};
 use mtk_core::sta::Sta;
 use mtk_core::vbsim::{Engine, VbsimOptions};
 use mtk_fe::interop::{export_deck, import_deck, Imported};
 use mtk_fe::Design;
+use mtk_store::Store;
 use mtk_trace::{CounterId, PhaseTrace, SpanRecorder, TraceReport};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -129,13 +131,12 @@ fn main() {
         _ => usage(),
     };
     let design = load(&path);
+    if let Some(kind) = JobKind::parse(cmd) {
+        return cmd_job(kind, design);
+    }
     match cmd {
         "lint" => cmd_lint(&design),
         "sta" => cmd_sta(&design),
-        "screen" => cmd_screen(&design),
-        "size" => cmd_size(&design),
-        "cluster" => cmd_cluster(&design),
-        "hybrid" => cmd_hybrid(&design),
         "mc" => cmd_mc(&design),
         "export" => cmd_export(&design),
         _ => usage(),
@@ -209,12 +210,9 @@ fn cmd_sta(design: &Design) {
             .collect::<Vec<_>>(),
     );
     if str_flag("--raw").is_some() || str_flag("--vcd").is_some() {
-        let (transitions, _) = transitions_of(design);
-        export_waves(
-            design,
-            transitions.first(),
-            Some(f64_flag("--w-over-l", 10.0)),
-        );
+        let arg = |field| param(field).arg() as usize;
+        let (transitions, _) = design_transitions(design, arg("stride"), arg("samples"));
+        export_waves(design, transitions.first(), Some(param("w_over_l").arg()));
     }
 }
 
@@ -237,23 +235,8 @@ fn export_waves(design: &Design, tr: Option<&Transition>, w_over_l: Option<f64>)
     let mut vcd_changes = 0u64;
     if let Some(path) = raw_path {
         let cfg = SpiceRunConfig::window(f64_flag("--t-stop", 80e-9));
-        let raw = match mtk_bench::wave::raw_from_transition(design, tr, w_over_l, &cfg) {
-            Ok(r) => r,
-            Err(e) => die(format!("--raw: {e}")),
-        };
-        let bytes = match raw.to_bytes() {
-            Ok(b) => b,
-            Err(e) => die(format!("--raw: {e}")),
-        };
-        if let Err(e) = std::fs::write(&path, &bytes) {
-            die(format!("--raw {path}: {e}"));
-        }
-        raw_points = raw.points() as u64;
-        println!(
-            "wrote {path}: {} variable(s), {} point(s)",
-            raw.variables.len(),
-            raw.points()
-        );
+        let raw = mtk_bench::wave::raw_from_transition(design, tr, w_over_l, &cfg);
+        raw_points = write_raw(&path, &raw.unwrap_or_else(|e| die(format!("--raw: {e}"))));
     }
     if let Some(path) = vcd_path {
         let opts = match w_over_l {
@@ -261,15 +244,10 @@ fn export_waves(design: &Design, tr: Option<&Transition>, w_over_l: Option<f64>)
             None => VbsimOptions::cmos(),
         };
         let engine = Engine::new(&design.netlist, &design.tech);
-        let run = match engine.run(&tr.from, &tr.to, &opts) {
-            Ok(r) => r,
-            Err(e) => die(format!("--vcd: {e}")),
-        };
+        let run = engine.run(&tr.from, &tr.to, &opts);
+        let run = run.unwrap_or_else(|e| die(format!("--vcd: {e}")));
         let vcd = mtk_bench::wave::vcd_from_run(design, &run);
-        let text = match vcd.render() {
-            Ok(t) => t,
-            Err(e) => die(format!("--vcd: {e}")),
-        };
+        let text = vcd.render().unwrap_or_else(|e| die(format!("--vcd: {e}")));
         if let Err(e) = std::fs::write(&path, text) {
             die(format!("--vcd {path}: {e}"));
         }
@@ -282,328 +260,232 @@ fn export_waves(design: &Design, tr: Option<&Transition>, w_over_l: Option<f64>)
     (raw_points, vcd_changes)
 }
 
-/// Adds the waveform-export counters to a trace phase.
-fn count_waves(phase: &mut PhaseTrace, raw_points: u64, vcd_changes: u64) {
-    phase.counters.add(CounterId::WaveRawPoints, raw_points);
-    phase.counters.add(CounterId::WaveVcdChanges, vcd_changes);
+/// Writes a `--raw` rawfile and reports it; returns the points written.
+fn write_raw(path: &str, raw: &mtk_wave::rawfile::RawFile) -> u64 {
+    let bytes = raw
+        .to_bytes()
+        .unwrap_or_else(|e| die(format!("--raw: {e}")));
+    if let Err(e) = std::fs::write(path, &bytes) {
+        die(format!("--raw {path}: {e}"));
+    }
+    let (variables, points) = (raw.variables.len(), raw.points());
+    println!("wrote {path}: {variables} variable(s), {points} point(s)");
+    points as u64
 }
 
-/// The transitions a flow command runs, per the documented precedence,
-/// plus a human label for where they came from (the CLI face of
-/// [`design_transitions`], shared with `mtk serve`).
-fn transitions_of(design: &Design) -> (Vec<Transition>, String) {
-    design_transitions(design, flag("--stride", 1), flag("--samples", 256))
+/// The store tiers of `--store PATH` (in memory without the flag).
+fn open_tiers() -> (Option<Store>, ScreeningCache) {
+    let path = str_flag("--store");
+    let tiers = job::open_tiers(path.as_deref().map(std::path::Path::new));
+    tiers.unwrap_or_else(|e| die(format!("--store {}: {e}", path.unwrap_or_default())))
 }
 
-fn cmd_screen(design: &Design) {
-    warn_lint(design);
-    let threads = flag("--threads", 1);
-    let w_over_l = f64_flag("--w-over-l", 10.0);
-    let top = flag("--top", 10);
-    let policy = failure_policy();
-    let (transitions, label) = transitions_of(design);
-    println!(
-        "mtk screen: {} under {} — {label}, sleep W/L={w_over_l}, {} thread(s)",
-        design.netlist.name(),
-        design.tech.name,
-        threads_label(threads)
-    );
-    let mut trace = TraceReport::new("mtk_screen");
+/// `mtk screen|size|cluster|hybrid`: one [`job::run`] (the runner
+/// `mtk serve` shares), then the tables and the trace. `hybrid
+/// --clusters N` first runs the cluster job, then SPICE-verifies at a
+/// single device of the clustered *total* width — a conservative
+/// lumping (one device of equal width sinks at least the current of
+/// the split devices), so the verification stays meaningful without
+/// teaching the SPICE netlister about partitions.
+fn cmd_job(kind: JobKind, design: Design) {
+    warn_lint(&design);
+    let mut spec = JobSpec::from_args(kind, design);
+    let (store, cache) = open_tiers();
     let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("screen");
-    let (screened, report) = match screen_vectors_par_quarantined(
-        &design.netlist,
-        &design.tech,
-        &transitions,
-        None,
-        w_over_l,
-        &VbsimOptions::default(),
-        threads,
-        policy,
-        &FaultPlan::none(),
-    ) {
-        Ok(r) => r,
-        Err(e) => die(e),
+    // Runs a job inside a span named after it.
+    let mut run_job = |spec: &JobSpec| {
+        let run = spans.time(spec.kind.name(), || {
+            job::run(spec, &cache, store.as_ref(), failure_policy())
+        });
+        run.unwrap_or_else(|e| die(e))
     };
-    spans.end();
-    println!(
-        "screened {} transition(s) in {:.2} s wall; {} switch an output",
-        transitions.len(),
-        report.wall,
-        screened.len()
-    );
-    print_table(
-        &format!("worst {} of the screened ranking", top.min(screened.len())),
-        &["rank", "vector", "degradation"],
-        &screened
-            .iter()
-            .take(top)
-            .enumerate()
-            .map(|(k, e)| {
-                vec![
-                    format!("{}", k + 1),
-                    format!("#{}", e.index),
-                    pct(e.delays.degradation()),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let worst = screened
-        .first()
-        .map(|e| &transitions[e.index])
-        .or_else(|| transitions.first());
-    let (rp, vc) = export_waves(design, worst, Some(w_over_l));
-    let mut phase = report.to_phase("screen");
-    count_waves(&mut phase, rp, vc);
-    trace.push_phase(phase);
+    let mut cluster_phases = Vec::new();
+    if spec.kind == JobKind::Hybrid && str_flag("--clusters").is_some() {
+        let cluster_spec = JobSpec::from_args(JobKind::Cluster, spec.design.clone());
+        let cluster = run_job(&cluster_spec);
+        let Outcome::Cluster(sizing, report) = &cluster.outcome else {
+            unreachable!("a cluster job yields a cluster outcome")
+        };
+        print_cluster_header(&cluster_spec, &cluster.label, report);
+        println!(
+            "hybrid verifies at the clustered total W/L = {:.2}",
+            sizing.total_width()
+        );
+        spec.w_over_l = sizing.total_width();
+        cluster_phases = cluster.trace.phases;
+    }
+    let mut trace = print_job(&spec, run_job(&spec), &cache);
+    trace.phases.extend(cluster_phases);
     trace.spans = spans.finish();
     emit_trace(&trace);
 }
 
-fn cmd_size(design: &Design) {
-    // `--clusters N` routes the whole run through the cluster
-    // co-optimizer — one code path, so the two commands can't drift.
-    if str_flag("--clusters").is_some() {
-        return cmd_cluster(design);
-    }
-    warn_lint(design);
-    let target = f64_flag("--target", 0.05);
-    let lo = f64_flag("--lo", 1.0);
-    let hi = f64_flag("--hi", 2000.0);
-    let (transitions, label) = transitions_of(design);
+/// The header and partition lines of a cluster job (shared by `mtk
+/// cluster` and `mtk hybrid --clusters`).
+fn print_cluster_header(spec: &JobSpec, label: &str, report: &ClusterReport) {
     println!(
-        "mtk size: {} under {} — bisect sleep W/L in [{lo}, {hi}] to ≤{} degradation over {label}",
-        design.netlist.name(),
-        design.tech.name,
-        pct(target)
+        "mtk cluster: {} under {} — ≤{} cluster(s) over {label}, target {}, W/L in [{}, {}], {} thread(s)",
+        spec.design.netlist.name(),
+        spec.design.tech.name,
+        spec.clusters,
+        pct(spec.target),
+        spec.lo,
+        spec.hi,
+        threads_label(spec.threads)
     );
-    let engine = Engine::new(&design.netlist, &design.tech);
-    // `--store PATH` makes warm reruns free across processes: every
-    // simulated leg is written through to the crash-safe log and a
-    // later `mtk size` over the same design replays it bit-identically.
-    let cache = match str_flag("--store") {
-        Some(path) => match ScreeningCache::persistent(&path) {
-            Ok(c) => c,
-            Err(e) => die(format!("--store {path}: {e}")),
-        },
-        None => ScreeningCache::new(),
-    };
-    let t0 = Instant::now();
-    let (w_over_l, health) = match size_for_target_cached(
-        &engine,
-        &transitions,
-        None,
-        target,
-        (lo, hi),
-        &VbsimOptions::default(),
-        &cache,
-    ) {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    println!("sleep transistor W/L = {w_over_l:.2} ({:.2} s wall)", wall);
-    if cache.store().is_some() {
-        let snap = cache.snapshot();
-        println!(
-            "store: {} leg(s) replayed, {} simulated and written through",
-            snap.store_hits, snap.misses
-        );
-    }
-    let (rp, vc) = export_waves(design, transitions.first(), Some(w_over_l));
-    let mut trace = TraceReport::new("mtk_size");
-    let mut phase = PhaseTrace::new("size").with_wall(wall);
-    phase.counters = health.counters();
-    count_waves(&mut phase, rp, vc);
-    trace.push_phase(phase);
-    emit_trace(&trace);
-}
-
-/// The shared cluster co-optimization behind `mtk cluster`, `mtk size
-/// --clusters` and `mtk hybrid --clusters`: partition by
-/// mutually-exclusive switching, size one device per cluster, apply the
-/// never-worse rule. Returns the sizing, the execution report and the
-/// wall-clock label of the vector source.
-fn run_cluster(design: &Design) -> (ClusterSizing, ClusterReport, String, usize) {
-    let smoke = bool_flag("--smoke");
-    let max_clusters = flag("--clusters", 8).max(1);
-    let threads = flag("--threads", 1);
-    let target = f64_flag("--target", 0.05);
-    let lo = f64_flag("--lo", 1.0);
-    let hi = f64_flag("--hi", 2000.0);
-    // `--smoke` thins sampled vector sets so the CI run stays fast;
-    // explicit `vector` lines in the file always run in full.
-    let stride = flag("--stride", if smoke { 64 } else { 1 });
-    let samples = flag("--samples", if smoke { 8 } else { 256 });
-    let (transitions, label) = design_transitions(design, stride, samples);
-    println!(
-        "mtk cluster: {} under {} — ≤{max_clusters} cluster(s) over {label}, target {}, W/L in [{lo}, {hi}], {} thread(s)",
-        design.netlist.name(),
-        design.tech.name,
-        pct(target),
-        threads_label(threads)
-    );
-    let partition = match exclusive_partition(&design.netlist, &transitions, max_clusters) {
-        Ok(p) => p,
-        Err(e) => die(e),
-    };
     println!(
         "partitioned {} cell(s) into {} cluster(s) ({} conflict edge(s), {} cell(s) folded by the cap)",
-        design.netlist.cells().len(),
-        partition.n_clusters,
-        partition.conflict_edges,
-        partition.folded
+        spec.design.netlist.cells().len(),
+        report.n_clusters,
+        report.conflict_edges,
+        report.folded
     );
-    let store = str_flag("--store").map(|path| match mtk_store::Store::open(&path) {
-        Ok(s) => s,
-        Err(e) => die(format!("--store {path}: {e}")),
-    });
-    let n_transitions = transitions.len();
-    let (sizing, report) = match size_clusters_for_target(
-        &design.netlist,
-        &design.tech,
-        &transitions,
-        None,
-        &partition,
-        target,
-        (lo, hi),
-        &VbsimOptions::default(),
-        threads,
-        failure_policy(),
-        &FaultPlan::none(),
-        store.as_ref(),
-    ) {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
-    if store.is_some() {
+    if str_flag("--store").is_some() {
         println!(
             "store: {} evaluation(s) replayed, {} simulated and written through",
             report.health.runs.cache_hits, report.health.runs.cache_misses
         );
     }
-    (sizing, report, label, n_transitions)
 }
 
-fn cmd_cluster(design: &Design) {
-    warn_lint(design);
-    let (sizing, report, _, n_transitions) = run_cluster(design);
-    print_table(
-        "per-cluster sleep devices of the returned solution",
-        &["cluster", "W/L"],
-        &sizing
-            .w_over_ls
-            .iter()
-            .enumerate()
-            .map(|(g, wl)| vec![format!("{g}"), format!("{wl:.2}")])
-            .collect::<Vec<_>>(),
-    );
-    let single = sizing
-        .single_w_over_l
-        .map_or("infeasible".to_string(), |w| format!("{w:.2}"));
-    println!(
-        "clustered total W/L = {:.2} over {n_transitions} transition(s); single-device W/L = {single}; returned the {} solution ({:.2} s wall)",
-        sizing.clustered_width(),
-        if sizing.fell_back { "single-device" } else { "clustered" },
-        report.wall
-    );
-    let mut trace = TraceReport::new("mtk_cluster");
-    let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("cluster");
-    spans.end();
-    trace.push_phase(report.to_phase("cluster", &sizing));
-    trace.spans = spans.finish();
-    emit_trace(&trace);
-}
-
-fn cmd_hybrid(design: &Design) {
-    warn_lint(design);
-    let threads = flag("--threads", 1);
-    let top_k = flag("--top-k", 10);
-    // `--clusters N` co-optimizes per-cluster devices first, then
-    // SPICE-verifies at a single device of the same *total* width — a
-    // conservative lumping (one device of equal width sinks at least
-    // the current of the split devices), so the verification stays
-    // meaningful without teaching the SPICE netlister about partitions.
-    let cluster_phase = if str_flag("--clusters").is_some() {
-        let (sizing, report, _, _) = run_cluster(design);
-        println!(
-            "hybrid verifies at the clustered total W/L = {:.2}",
-            sizing.total_width()
-        );
-        Some((sizing.total_width(), report.to_phase("cluster", &sizing)))
-    } else {
-        None
+/// Prints a finished job's header and tables, runs the `--raw`/`--vcd`
+/// export of its most interesting vector (the worst-ranked one where a
+/// ranking exists), and returns its trace with the export counted.
+fn print_job(spec: &JobSpec, run: JobRun, cache: &ScreeningCache) -> TraceReport {
+    let JobRun {
+        transitions,
+        label,
+        outcome,
+        mut trace,
+    } = run;
+    let design = &spec.design;
+    let (name, tech) = (design.netlist.name(), &design.tech.name);
+    // The vector (by index) and sleep size to export waveforms at.
+    let export = match outcome {
+        Outcome::Screen(screened, wall) => {
+            println!(
+                "mtk screen: {name} under {tech} — {label}, sleep W/L={}, {} thread(s)",
+                spec.w_over_l,
+                threads_label(spec.threads)
+            );
+            println!(
+                "screened {} transition(s) in {wall:.2} s wall; {} switch an output",
+                transitions.len(),
+                screened.len()
+            );
+            print_table(
+                &format!(
+                    "worst {} of the screened ranking",
+                    spec.top.min(screened.len())
+                ),
+                &["rank", "vector", "degradation"],
+                &screened
+                    .iter()
+                    .take(spec.top)
+                    .enumerate()
+                    .map(|(k, e)| {
+                        vec![
+                            format!("{}", k + 1),
+                            format!("#{}", e.index),
+                            pct(e.delays.degradation()),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            Some((screened.first().map(|e| e.index), spec.w_over_l))
+        }
+        Outcome::Size(w_over_l, wall) => {
+            println!(
+                "mtk size: {name} under {tech} — bisect sleep W/L in [{}, {}] to ≤{} degradation over {label}",
+                spec.lo,
+                spec.hi,
+                pct(spec.target)
+            );
+            println!("sleep transistor W/L = {w_over_l:.2} ({wall:.2} s wall)");
+            if cache.store().is_some() {
+                let snap = cache.snapshot();
+                println!(
+                    "store: {} leg(s) replayed, {} simulated and written through",
+                    snap.store_hits, snap.misses
+                );
+            }
+            Some((None, w_over_l))
+        }
+        Outcome::Cluster(sizing, report) => {
+            print_cluster_header(spec, &label, &report);
+            print_table(
+                "per-cluster sleep devices of the returned solution",
+                &["cluster", "W/L"],
+                &sizing
+                    .w_over_ls
+                    .iter()
+                    .enumerate()
+                    .map(|(g, wl)| vec![format!("{g}"), format!("{wl:.2}")])
+                    .collect::<Vec<_>>(),
+            );
+            let single = sizing
+                .single_w_over_l
+                .map_or("infeasible".to_string(), |w| format!("{w:.2}"));
+            println!(
+                "clustered total W/L = {:.2} over {} transition(s); single-device W/L = {single}; returned the {} solution ({:.2} s wall)",
+                sizing.clustered_width(),
+                transitions.len(),
+                if sizing.fell_back { "single-device" } else { "clustered" },
+                report.wall
+            );
+            None
+        }
+        Outcome::Hybrid(report) => {
+            println!(
+                "mtk hybrid: {name} under {tech} — screen {label}, SPICE-verify the top {}, {} thread(s)",
+                spec.top_k,
+                threads_label(spec.threads)
+            );
+            println!(
+                "screened {} transition(s) ({} switch an output) in {:.2} s; verified {} in {:.2} s",
+                transitions.len(),
+                report.survivors,
+                report.screen_wall,
+                report.findings.len(),
+                report.verify_wall
+            );
+            print_table(
+                "screened top-k, SPICE-verified",
+                &["rank", "vector", "simulator degr", "SPICE degr", "delta"],
+                &report
+                    .findings
+                    .iter()
+                    .enumerate()
+                    .map(|(k, f)| {
+                        vec![
+                            format!("{}", k + 1),
+                            format!("#{}", f.index),
+                            pct(f.screened.degradation()),
+                            f.verified
+                                .map_or("quarantined".to_string(), |v| pct(v.degradation())),
+                            f.delta.map_or("-".to_string(), pct),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            Some((report.findings.first().map(|f| f.index), spec.w_over_l))
+        }
     };
-    let w_over_l = match &cluster_phase {
-        Some((total, _)) => *total,
-        None => f64_flag("--w-over-l", 10.0),
+    let Some((worst, w_over_l)) = export else {
+        return trace;
     };
-    let policy = failure_policy();
-    let (transitions, label) = transitions_of(design);
-    println!(
-        "mtk hybrid: {} under {} — screen {label}, SPICE-verify the top {top_k}, {} thread(s)",
-        design.netlist.name(),
-        design.tech.name,
-        threads_label(threads)
-    );
-    let opts = HybridOptions {
-        top_k,
-        threads,
-        policy,
-        ..HybridOptions::at_size(w_over_l, SpiceRunConfig::window(80e-9))
-    };
-    let report = match run_hybrid(&design.netlist, &design.tech, &transitions, &opts) {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
-    println!(
-        "screened {} transition(s) ({} switch an output) in {:.2} s; verified {} in {:.2} s",
-        transitions.len(),
-        report.survivors,
-        report.screen_wall,
-        report.findings.len(),
-        report.verify_wall
-    );
-    print_table(
-        "screened top-k, SPICE-verified",
-        &["rank", "vector", "simulator degr", "SPICE degr", "delta"],
-        &report
-            .findings
-            .iter()
-            .enumerate()
-            .map(|(k, f)| {
-                vec![
-                    format!("{}", k + 1),
-                    format!("#{}", f.index),
-                    pct(f.screened.degradation()),
-                    f.verified
-                        .map_or("quarantined".to_string(), |v| pct(v.degradation())),
-                    f.delta.map_or("-".to_string(), pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let worst = report
-        .findings
-        .first()
-        .map(|f| &transitions[f.index])
-        .or_else(|| transitions.first());
-    let (rp, vc) = export_waves(design, worst, Some(w_over_l));
-    let mut trace = report.to_trace("mtk_hybrid");
-    if rp + vc > 0 {
-        let mut phase = PhaseTrace::new("wave");
-        count_waves(&mut phase, rp, vc);
-        trace.push_phase(phase);
+    let tr = worst.map(|i| &transitions[i]).or(transitions.first());
+    let (raw_points, vcd_changes) = export_waves(design, tr, Some(w_over_l));
+    if raw_points + vcd_changes > 0 {
+        // Hybrid's two phases are the core tiers'; its export gets its own.
+        if spec.kind == JobKind::Hybrid {
+            trace.push_phase(PhaseTrace::new("wave"));
+        }
+        let phase = trace.phases.last_mut().expect("every job traces a phase");
+        phase.counters.add(CounterId::WaveRawPoints, raw_points);
+        phase.counters.add(CounterId::WaveVcdChanges, vcd_changes);
     }
-    if let Some((_, phase)) = cluster_phase {
-        trace.push_phase(phase);
-    }
-    let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("hybrid");
-    spans.end();
-    trace.spans = spans.finish();
-    emit_trace(&trace);
+    trace
 }
 
 /// `mtk mc`: Monte Carlo yield analysis under process variation. The
@@ -615,9 +497,9 @@ fn cmd_mc(design: &Design) {
     warn_lint(design);
     let smoke = bool_flag("--smoke");
     let trials = flag("--trials", if smoke { 64 } else { 256 });
-    let threads = flag("--threads", 1);
-    let w_over_l = f64_flag("--w-over-l", 10.0);
-    let target = f64_flag("--target", 0.05);
+    let threads = param("threads").arg() as usize;
+    let w_over_l = param("w_over_l").arg();
+    let target = param("target").arg();
     let widths: Vec<f64> = match str_flag("--widths") {
         Some(list) => list
             .split(',')
@@ -646,8 +528,9 @@ fn cmd_mc(design: &Design) {
     tech.sigma_w = f64_flag("--sigma-w", tech.sigma_w);
     // `--smoke` thins the exhaustive transition space so the CI sweep
     // stays fast; an explicit `--stride` still wins.
-    let stride = flag("--stride", if smoke { 256 } else { 1 });
-    let (transitions, label) = design_transitions(design, stride, flag("--samples", 256));
+    let (stride, samples) = (param("stride"), param("samples").arg() as usize);
+    let stride = stride.arg_or(if smoke { 256.0 } else { stride.default }) as usize;
+    let (transitions, label) = design_transitions(design, stride, samples);
     let opts = McOptions {
         trials,
         seed: flag("--seed", 0x4D43) as u64,
@@ -666,22 +549,20 @@ fn cmd_mc(design: &Design) {
         pct(target),
         threads_label(threads)
     );
-    let store = str_flag("--store").map(|path| match mtk_store::Store::open(&path) {
-        Ok(s) => s,
-        Err(e) => die(format!("--store {path}: {e}")),
+    let (store, _) = open_tiers();
+    let mut spans = SpanRecorder::new(trace_config().spans);
+    let report = spans.time("mc", || {
+        run_mc(
+            &design.netlist,
+            &tech,
+            &transitions,
+            None,
+            &opts,
+            store.as_ref(),
+            &FaultPlan::none(),
+        )
     });
-    let report = match run_mc(
-        &design.netlist,
-        &tech,
-        &transitions,
-        None,
-        &opts,
-        store.as_ref(),
-        &FaultPlan::none(),
-    ) {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
+    let report = report.unwrap_or_else(|e| die(e));
     println!(
         "{} of {} trial(s) within target at W/L={w_over_l} ({:.2} s wall); degradation p50/p95/p99 = {}/{}/{} bp, bounce p99 = {} uV",
         report.passed(),
@@ -709,9 +590,6 @@ fn cmd_mc(design: &Design) {
         );
     }
     let mut trace = TraceReport::new("mtk_mc");
-    let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("mc");
-    spans.end();
     trace.push_phase(report.to_phase("mc"));
     trace.spans = spans.finish();
     emit_trace(&trace);
@@ -771,7 +649,7 @@ fn cmd_export(design: &Design) {
     let sleep = if bool_flag("--cmos") {
         None
     } else {
-        Some(f64_flag("--w-over-l", 10.0))
+        Some(param("w_over_l").arg())
     };
     let deck = match export_deck(design, sleep) {
         Ok(d) => d,
@@ -876,21 +754,8 @@ fn cmd_import(rest: &[String]) {
                     Err(e) => die(format!("--raw: {e}")),
                 };
                 let raw = mtk_bench::wave::raw_from_tran(&result, &name);
-                phase
-                    .counters
-                    .add(CounterId::WaveRawPoints, raw.points() as u64);
-                let bytes = match raw.to_bytes() {
-                    Ok(b) => b,
-                    Err(e) => die(format!("--raw: {e}")),
-                };
-                if let Err(e) = std::fs::write(&out, &bytes) {
-                    die(format!("--raw {out}: {e}"));
-                }
-                println!(
-                    "wrote {out}: {} variable(s), {} point(s)",
-                    raw.variables.len(),
-                    raw.points()
-                );
+                let points = write_raw(&out, &raw);
+                phase.counters.add(CounterId::WaveRawPoints, points);
             }
             trace.push_phase(phase);
             emit_trace(&trace);
@@ -928,7 +793,7 @@ fn install_sigterm() {
 fn cmd_serve() {
     let cfg = ServeConfig {
         addr: str_flag("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        threads: flag("--threads", 1),
+        threads: param("threads").arg() as usize,
         job_slots: flag("--job-slots", 2).max(1),
         read_timeout: Duration::from_millis(flag("--read-timeout-ms", 5000) as u64),
         write_timeout: Duration::from_millis(flag("--write-timeout-ms", 5000) as u64),
@@ -977,74 +842,36 @@ fn cmd_serve() {
 /// prints the response line, exits 0 on `ok`, 3 on `busy`, 1 on
 /// `error`, 2 on transport failures.
 fn cmd_client(rest: &[String]) {
-    let addr = match rest.first() {
-        Some(a) if !a.starts_with("--") => a.clone(),
+    let arg = |i: usize| match rest.get(i) {
+        Some(a) if !a.starts_with("--") => a.as_str(),
         _ => usage(),
     };
-    let cmd = match rest.get(1) {
-        Some(c) if !c.starts_with("--") => c.as_str(),
-        _ => usage(),
-    };
+    let (addr, cmd) = (arg(0), arg(1));
     let line = match cmd {
         "status" | "shutdown" => format!("{{\"cmd\":\"{cmd}\"}}"),
         "import" => {
-            let path = match rest.get(2) {
-                Some(p) if !p.starts_with("--") => p,
-                _ => usage(),
-            };
-            let deck = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => die(format!("{path}: {e}")),
-            };
-            mtk_trace::json::JsonValue::Object(vec![
-                (
-                    "cmd".to_string(),
-                    mtk_trace::json::JsonValue::String("import".to_string()),
-                ),
-                ("deck".to_string(), mtk_trace::json::JsonValue::String(deck)),
-            ])
-            .to_compact()
+            let path = arg(2);
+            let deck =
+                std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("{path}: {e}")));
+            let field = |s: &str| mtk_trace::json::JsonValue::String(s.to_string());
+            let members = vec![
+                ("cmd".into(), field("import")),
+                ("deck".into(), field(&deck)),
+            ];
+            mtk_trace::json::JsonValue::Object(members).to_compact()
         }
-        "screen" | "size" | "cluster" | "hybrid" => {
-            let path = match rest.get(2) {
-                Some(p) if !p.starts_with("--") => p,
-                _ => usage(),
-            };
-            let design = load(path);
-            let mut fields = vec![
-                (
-                    "cmd".to_string(),
-                    mtk_trace::json::JsonValue::String(cmd.to_string()),
-                ),
-                (
-                    "design".to_string(),
-                    mtk_trace::json::JsonValue::String(design.to_mtk()),
-                ),
-            ];
-            let numbers = [
-                ("threads", flag("--threads", 1) as f64),
-                ("w_over_l", f64_flag("--w-over-l", 10.0)),
-                ("top_k", flag("--top-k", 10) as f64),
-                ("target", f64_flag("--target", 0.05)),
-                ("lo", f64_flag("--lo", 1.0)),
-                ("hi", f64_flag("--hi", 2000.0)),
-                ("stride", flag("--stride", 1) as f64),
-                ("samples", flag("--samples", 256) as f64),
-                ("top", flag("--top", 10) as f64),
-                ("clusters", flag("--clusters", 8) as f64),
-            ];
-            for (name, value) in numbers {
-                fields.push((name.to_string(), mtk_trace::json::JsonValue::Number(value)));
+        _ => {
+            let kind = JobKind::parse(cmd).unwrap_or_else(|| usage());
+            let spec = JobSpec::from_args(kind, load(arg(2)));
+            if spec.kind == JobKind::Hybrid && str_flag("--clusters").is_some() {
+                die("hybrid --clusters runs only locally (`mtk hybrid`): mtk serve has no clustered hybrid job");
             }
-            mtk_trace::json::JsonValue::Object(fields).to_compact()
+            spec.request_line()
         }
-        _ => usage(),
     };
     let timeout = Duration::from_millis(flag("--timeout-ms", 120_000) as u64);
-    let response = match serve::request(&addr, &line, timeout) {
-        Ok(r) => r,
-        Err(e) => die(format!("{addr}: {e}")),
-    };
+    let response = serve::request(addr, &line, timeout);
+    let response = response.unwrap_or_else(|e| die(format!("{addr}: {e}")));
     println!("{response}");
     let status = mtk_trace::json::parse(&response)
         .ok()

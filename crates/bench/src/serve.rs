@@ -7,9 +7,9 @@
 //! One JSON object per line in each direction. Requests:
 //!
 //! * `{"cmd":"screen"|"size"|"cluster"|"hybrid","design":"<.mtk text>",
-//!   ...}` — run a job. Optional numeric fields: `threads`, `w_over_l`,
-//!   `top_k`, `target`, `lo`, `hi`, `stride`, `samples`, `top`,
-//!   `clusters`.
+//!   ...}` — run a job through [`crate::job::run`], the runner the
+//!   `mtk screen|size|cluster|hybrid` commands share. The optional
+//!   numeric fields and their defaults are [`crate::job::PARAMS`].
 //! * `{"cmd":"import","deck":"<SPICE text>"}` — standard-format import:
 //!   flatten subcircuits, recognize gates, return canonical `.mtk` (or
 //!   `recognized:false` with the reason — the SPICE-only fallback).
@@ -40,20 +40,12 @@
 //! work, exit cleanly). The connection count and the in-flight entry
 //! are released by drop guards, so even a job that panics leaves no
 //! waiter blocked and no drain hanging. Every failure path is an
-//! `mtk_trace` counter — never an `eprintln!`.
-//!
-//! The request fingerprint (and store key) excludes `threads`: results
-//! are thread-count invariant by the workspace determinism contract, so
-//! the same design+options served at any parallelism dedups to one
-//! record.
+//! `mtk_trace` counter — never an `eprintln!`. Requests are keyed by
+//! [`JobSpec::store_key`], which leaves out `threads`.
 
-use mtk_core::cluster::{exclusive_partition, size_clusters_for_target};
-use mtk_core::health::{FailurePolicy, FaultPlan};
-use mtk_core::hybrid::{run_hybrid, HybridOptions, SpiceRunConfig};
-use mtk_core::record::REQUEST_RECORD_TAG;
-use mtk_core::sizing::{screen_vectors_par_quarantined, size_for_target_cached, ScreeningCache};
-use mtk_core::vbsim::{Engine, VbsimOptions};
-use mtk_fe::Design;
+use crate::job::{self, JobKind, JobRun, JobSpec, Outcome};
+use mtk_core::health::FailurePolicy;
+use mtk_core::sizing::ScreeningCache;
 use mtk_store::{Store, StoreStats};
 use mtk_trace::json::{parse, JsonValue};
 use mtk_trace::{CounterId, CounterSet, PhaseTrace, TraceMode, TraceReport};
@@ -255,19 +247,8 @@ impl Server {
     /// wrong bits later.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let (store, cache) = match &cfg.store_path {
-            Some(path) => {
-                let open = |p| {
-                    Store::open(p)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
-                };
-                // Two handles on one log: request-level records and the
-                // screening cache's leg records share the file, writers
-                // serialized by the store's lock.
-                (Some(open(path)?), ScreeningCache::with_store(open(path)?))
-            }
-            None => (None, ScreeningCache::new()),
-        };
+        let (store, cache) = job::open_tiers(cfg.store_path.as_deref())
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
         let state = Arc::new(ServerState {
             counters: Mutex::new(CounterSet::new()),
             cache,
@@ -438,23 +419,22 @@ fn handle_request(state: &Arc<ServerState>, line: &str) -> (String, bool) {
             return (error_line(&format!("malformed request: {e}")), false);
         }
     };
-    match request.get("cmd").and_then(JsonValue::as_str) {
-        Some("status") => (status_line(state), false),
-        Some("shutdown") => {
+    let cmd = request.get("cmd").and_then(JsonValue::as_str).unwrap_or("");
+    match (cmd, JobKind::parse(cmd)) {
+        ("status", _) => (status_line(state), false),
+        ("shutdown", _) => {
             state.request_drain();
             (r#"{"status":"ok","draining":true}"#.to_string(), true)
         }
-        Some(cmd @ ("screen" | "size" | "cluster" | "hybrid")) => {
-            match JobSpec::from_request(cmd, &request, state.default_threads) {
-                Ok(spec) => (handle_job(state, &spec), false),
-                Err(msg) => {
-                    state.count(CounterId::RequestsRejected, 1);
-                    (error_line(&msg), false)
-                }
+        ("import", _) => (handle_import(state, &request), false),
+        (_, Some(kind)) => match JobSpec::from_request(kind, &request, state.default_threads) {
+            Ok(spec) => (handle_job(state, &spec), false),
+            Err(msg) => {
+                state.count(CounterId::RequestsRejected, 1);
+                (error_line(&msg), false)
             }
-        }
-        Some("import") => (handle_import(state, &request), false),
-        _ => {
+        },
+        (_, None) => {
             state.count(CounterId::RequestsRejected, 1);
             (
                 error_line("unknown cmd (want import|screen|size|cluster|hybrid|status|shutdown)"),
@@ -496,24 +476,21 @@ fn handle_import(state: &Arc<ServerState>, request: &JsonValue) -> String {
         stats.cells_recognized as u64,
     );
     state.count(CounterId::ImportFallbacks, stats.fallback as u64);
+    let ok = JsonValue::String("ok".into());
     match imported {
-        mtk_fe::interop::Imported::Design { design, stats, .. } => JsonValue::Object(vec![
-            ("status".into(), JsonValue::String("ok".into())),
-            ("recognized".into(), JsonValue::Bool(true)),
-            ("mtk".into(), JsonValue::String(design.to_mtk())),
-            (
-                "gates".into(),
-                JsonValue::Number(stats.cells_recognized as f64),
-            ),
-        ])
-        .to_compact(),
-        mtk_fe::interop::Imported::SpiceOnly { reason, .. } => JsonValue::Object(vec![
-            ("status".into(), JsonValue::String("ok".into())),
-            ("recognized".into(), JsonValue::Bool(false)),
-            ("reason".into(), JsonValue::String(reason)),
-        ])
-        .to_compact(),
+        mtk_fe::interop::Imported::Design { design, stats, .. } => obj([
+            ("status", ok),
+            ("recognized", JsonValue::Bool(true)),
+            ("mtk", JsonValue::String(design.to_mtk())),
+            ("gates", num(stats.cells_recognized)),
+        ]),
+        mtk_fe::interop::Imported::SpiceOnly { reason, .. } => obj([
+            ("status", ok),
+            ("recognized", JsonValue::Bool(false)),
+            ("reason", JsonValue::String(reason)),
+        ]),
     }
+    .to_compact()
 }
 
 /// Store tier → in-flight dedup → bounded execution, in that order.
@@ -599,268 +576,76 @@ fn handle_job(state: &Arc<ServerState>, spec: &JobSpec) -> String {
     }
 }
 
-/// One validated job: canonicalized design plus every option that keys
-/// the result. `threads` is execution-only and excluded from the key.
-struct JobSpec {
-    cmd: &'static str,
-    design: Design,
-    canonical: String,
-    threads: usize,
-    w_over_l: f64,
-    top_k: usize,
-    target: f64,
-    lo: f64,
-    hi: f64,
-    stride: usize,
-    samples: usize,
-    top: usize,
-    clusters: usize,
-}
-
-fn field_f64(req: &JsonValue, key: &str, default: f64) -> Result<f64, String> {
-    match req.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .filter(|x| x.is_finite())
-            .ok_or_else(|| format!("field `{key}` must be a finite number")),
-    }
-}
-
-fn field_usize(req: &JsonValue, key: &str, default: usize) -> Result<usize, String> {
-    match req.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .map(|x| x as usize)
-            .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-    }
-}
-
-impl JobSpec {
-    fn from_request(cmd: &str, req: &JsonValue, default_threads: usize) -> Result<JobSpec, String> {
-        let cmd = match cmd {
-            "screen" => "screen",
-            "size" => "size",
-            "cluster" => "cluster",
-            _ => "hybrid",
-        };
-        let text = req
-            .get("design")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `design` (the .mtk netlist text)")?;
-        let design = mtk_fe::parse_str(text, "<request>").map_err(|e| e.to_string())?;
-        let canonical = design.to_mtk();
-        Ok(JobSpec {
-            cmd,
-            design,
-            canonical,
-            threads: field_usize(req, "threads", default_threads)?,
-            w_over_l: field_f64(req, "w_over_l", 10.0)?,
-            top_k: field_usize(req, "top_k", 10)?,
-            target: field_f64(req, "target", 0.05)?,
-            lo: field_f64(req, "lo", 1.0)?,
-            hi: field_f64(req, "hi", 2000.0)?,
-            stride: field_usize(req, "stride", 1)?,
-            samples: field_usize(req, "samples", 256)?,
-            top: field_usize(req, "top", 10)?,
-            clusters: field_usize(req, "clusters", 8)?.max(1),
-        })
-    }
-
-    /// Content-addressed request fingerprint: tag + compact JSON of the
-    /// canonical design and every result-determining option, `threads`
-    /// deliberately excluded (results are thread-count invariant).
-    fn store_key(&self) -> Vec<u8> {
-        let obj = JsonValue::Object(vec![
-            ("cmd".into(), JsonValue::String(self.cmd.into())),
-            ("design".into(), JsonValue::String(self.canonical.clone())),
-            ("w_over_l".into(), JsonValue::Number(self.w_over_l)),
-            ("top_k".into(), JsonValue::Number(self.top_k as f64)),
-            ("target".into(), JsonValue::Number(self.target)),
-            ("lo".into(), JsonValue::Number(self.lo)),
-            ("hi".into(), JsonValue::Number(self.hi)),
-            ("stride".into(), JsonValue::Number(self.stride as f64)),
-            ("samples".into(), JsonValue::Number(self.samples as f64)),
-            ("top".into(), JsonValue::Number(self.top as f64)),
-            ("clusters".into(), JsonValue::Number(self.clusters as f64)),
-        ]);
-        let mut key = REQUEST_RECORD_TAG.to_vec();
-        key.extend_from_slice(obj.to_compact().as_bytes());
-        key
-    }
-}
-
-/// Runs one job and serializes its payload:
+/// Runs one job through [`job::run`] and serializes its payload:
 /// `{"result":...,"trace":<deterministic trace>}` — the unit the store
 /// persists and identical requests replay byte-for-byte.
 fn execute(state: &ServerState, spec: &JobSpec) -> Result<String, String> {
-    let (transitions, _label) = crate::design_transitions(&spec.design, spec.stride, spec.samples);
     let policy = FailurePolicy::quarantine(32);
-    let (result, trace) = match spec.cmd {
-        "screen" => {
-            let (screened, report) = screen_vectors_par_quarantined(
-                &spec.design.netlist,
-                &spec.design.tech,
-                &transitions,
-                None,
-                spec.w_over_l,
-                &VbsimOptions::default(),
-                spec.threads,
-                policy,
-                &FaultPlan::none(),
-            )
-            .map_err(|e| e.to_string())?;
-            let mut trace = TraceReport::new("mtk_screen");
-            trace.push_phase(report.to_phase("screen"));
-            let top: Vec<JsonValue> = screened
-                .iter()
-                .take(spec.top)
-                .map(|s| {
-                    JsonValue::Object(vec![
-                        ("index".into(), JsonValue::Number(s.index as f64)),
-                        (
-                            "degradation".into(),
-                            JsonValue::Number(s.delays.degradation()),
-                        ),
-                    ])
-                })
-                .collect();
-            let result = JsonValue::Object(vec![
-                (
-                    "transitions".into(),
-                    JsonValue::Number(transitions.len() as f64),
-                ),
-                ("switching".into(), JsonValue::Number(screened.len() as f64)),
-                ("top".into(), JsonValue::Array(top)),
-            ]);
-            (result, trace)
+    let run = job::run(spec, &state.cache, state.store.as_ref(), policy);
+    let run = run.map_err(|e| e.to_string())?;
+    let trace = run.trace.to_json_value(TraceMode::Deterministic);
+    Ok(obj([("result", result_json(spec, &run)), ("trace", trace)]).to_compact())
+}
+
+/// The `result` object of a job response.
+fn result_json(spec: &JobSpec, run: &JobRun) -> JsonValue {
+    let opt = |x: Option<f64>| x.map_or(JsonValue::Null, JsonValue::Number);
+    let transitions = num(run.transitions.len());
+    match &run.outcome {
+        Outcome::Screen(screened, _) => {
+            let top = screened.iter().take(spec.top).map(|s| {
+                let degradation = JsonValue::Number(s.delays.degradation());
+                obj([("index", num(s.index)), ("degradation", degradation)])
+            });
+            obj([
+                ("transitions", transitions),
+                ("switching", num(screened.len())),
+                ("top", JsonValue::Array(top.collect())),
+            ])
         }
-        "size" => {
-            let engine = Engine::new(&spec.design.netlist, &spec.design.tech);
-            let (w_over_l, health) = size_for_target_cached(
-                &engine,
-                &transitions,
-                None,
-                spec.target,
-                (spec.lo, spec.hi),
-                &VbsimOptions::default(),
-                &state.cache,
-            )
-            .map_err(|e| e.to_string())?;
-            let mut trace = TraceReport::new("mtk_size");
-            let mut phase = PhaseTrace::new("size");
-            phase.counters = health.counters();
-            trace.push_phase(phase);
-            let result = JsonValue::Object(vec![("w_over_l".into(), JsonValue::Number(w_over_l))]);
-            (result, trace)
-        }
-        "cluster" => {
-            let partition = exclusive_partition(&spec.design.netlist, &transitions, spec.clusters)
-                .map_err(|e| e.to_string())?;
-            let (sizing, report) = size_clusters_for_target(
-                &spec.design.netlist,
-                &spec.design.tech,
-                &transitions,
-                None,
-                &partition,
-                spec.target,
-                (spec.lo, spec.hi),
-                &VbsimOptions::default(),
-                spec.threads,
-                policy,
-                &FaultPlan::none(),
-                state.store.as_ref(),
-            )
-            .map_err(|e| e.to_string())?;
-            let mut trace = TraceReport::new("mtk_cluster");
-            trace.push_phase(report.to_phase("cluster", &sizing));
-            let widths: Vec<JsonValue> = sizing
-                .w_over_ls
-                .iter()
-                .map(|&w| JsonValue::Number(w))
-                .collect();
-            let result = JsonValue::Object(vec![
+        Outcome::Size(w_over_l, _) => obj([("w_over_l", JsonValue::Number(*w_over_l))]),
+        Outcome::Cluster(sizing, report) => {
+            let widths = sizing.w_over_ls.iter().map(|&w| JsonValue::Number(w));
+            obj([
+                ("clusters", num(report.n_clusters)),
+                ("conflict_edges", num(report.conflict_edges)),
+                ("folded", num(report.folded)),
+                ("w_over_ls", JsonValue::Array(widths.collect())),
                 (
-                    "clusters".into(),
-                    JsonValue::Number(report.n_clusters as f64),
-                ),
-                (
-                    "conflict_edges".into(),
-                    JsonValue::Number(report.conflict_edges as f64),
-                ),
-                ("folded".into(), JsonValue::Number(report.folded as f64)),
-                ("w_over_ls".into(), JsonValue::Array(widths)),
-                (
-                    "clustered_width".into(),
+                    "clustered_width",
                     JsonValue::Number(sizing.clustered_width()),
                 ),
-                (
-                    "single_w_over_l".into(),
-                    sizing
-                        .single_w_over_l
-                        .map_or(JsonValue::Null, JsonValue::Number),
-                ),
-                ("fell_back".into(), JsonValue::Bool(sizing.fell_back)),
-                (
-                    "total_width".into(),
-                    JsonValue::Number(sizing.total_width()),
-                ),
-            ]);
-            (result, trace)
+                ("single_w_over_l", opt(sizing.single_w_over_l)),
+                ("fell_back", JsonValue::Bool(sizing.fell_back)),
+                ("total_width", JsonValue::Number(sizing.total_width())),
+            ])
         }
-        _ => {
-            let opts = HybridOptions {
-                top_k: spec.top_k,
-                threads: spec.threads,
-                policy,
-                ..HybridOptions::at_size(spec.w_over_l, SpiceRunConfig::window(80e-9))
-            };
-            let report = run_hybrid(&spec.design.netlist, &spec.design.tech, &transitions, &opts)
-                .map_err(|e| e.to_string())?;
-            let findings: Vec<JsonValue> = report
-                .findings
-                .iter()
-                .map(|f| {
-                    JsonValue::Object(vec![
-                        ("index".into(), JsonValue::Number(f.index as f64)),
-                        (
-                            "screened".into(),
-                            JsonValue::Number(f.screened.degradation()),
-                        ),
-                        (
-                            "verified".into(),
-                            f.verified
-                                .map_or(JsonValue::Null, |v| JsonValue::Number(v.degradation())),
-                        ),
-                        (
-                            "delta".into(),
-                            f.delta.map_or(JsonValue::Null, JsonValue::Number),
-                        ),
-                    ])
-                })
-                .collect();
-            let result = JsonValue::Object(vec![
-                (
-                    "transitions".into(),
-                    JsonValue::Number(transitions.len() as f64),
-                ),
-                (
-                    "survivors".into(),
-                    JsonValue::Number(report.survivors as f64),
-                ),
-                ("findings".into(), JsonValue::Array(findings)),
-            ]);
-            (result, report.to_trace("mtk_hybrid"))
+        Outcome::Hybrid(report) => {
+            let findings = report.findings.iter().map(|f| {
+                obj([
+                    ("index", num(f.index)),
+                    ("screened", JsonValue::Number(f.screened.degradation())),
+                    ("verified", opt(f.verified.map(|v| v.degradation()))),
+                    ("delta", opt(f.delta)),
+                ])
+            });
+            obj([
+                ("transitions", transitions),
+                ("survivors", num(report.survivors)),
+                ("findings", JsonValue::Array(findings.collect())),
+            ])
         }
-    };
-    let trace_value = parse(&trace.to_json(TraceMode::Deterministic))
-        .map_err(|e| format!("internal: trace serialization failed: {e}"))?;
-    let payload = JsonValue::Object(vec![
-        ("result".into(), result),
-        ("trace".into(), trace_value),
-    ]);
-    Ok(payload.to_compact())
+    }
+}
+
+/// A JSON object with `members` in this order.
+fn obj<const N: usize>(members: [(&str, JsonValue); N]) -> JsonValue {
+    JsonValue::Object(members.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// A count as a JSON number.
+fn num(n: usize) -> JsonValue {
+    JsonValue::Number(n as f64)
 }
 
 /// Splices a stored/computed payload object into a response line without
@@ -871,35 +656,17 @@ fn ok_line(cached: bool, payload: &str) -> String {
 }
 
 fn error_line(msg: &str) -> String {
-    JsonValue::Object(vec![
-        ("status".into(), JsonValue::String("error".into())),
-        ("error".into(), JsonValue::String(msg.into())),
-    ])
-    .to_compact()
+    let status = JsonValue::String("error".into());
+    obj([("status", status), ("error", JsonValue::String(msg.into()))]).to_compact()
 }
 
 fn store_stats_value(stats: StoreStats) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "live_records".into(),
-            JsonValue::Number(stats.live_records as f64),
-        ),
-        (
-            "dead_records".into(),
-            JsonValue::Number(stats.dead_records as f64),
-        ),
-        (
-            "conflicting_records".into(),
-            JsonValue::Number(stats.conflicting_records as f64),
-        ),
-        (
-            "corrupt_records".into(),
-            JsonValue::Number(stats.corrupt_records as f64),
-        ),
-        (
-            "log_bytes".into(),
-            JsonValue::Number(stats.log_bytes as f64),
-        ),
+    obj([
+        ("live_records", num(stats.live_records)),
+        ("dead_records", num(stats.dead_records)),
+        ("conflicting_records", num(stats.conflicting_records)),
+        ("corrupt_records", num(stats.corrupt_records)),
+        ("log_bytes", JsonValue::Number(stats.log_bytes as f64)),
     ])
 }
 
@@ -919,58 +686,34 @@ fn status_line(state: &ServerState) -> String {
     let mut phase = PhaseTrace::new("serve");
     phase.counters = counters;
     report.push_phase(phase);
-    let trace = parse(&report.to_json(TraceMode::Deterministic)).unwrap_or(JsonValue::Null);
+    let trace = report.to_json_value(TraceMode::Deterministic);
     let snap = state.cache.snapshot();
-    let cache = JsonValue::Object(vec![
-        ("legs".into(), JsonValue::Number(snap.legs as f64)),
-        ("hits".into(), JsonValue::Number(snap.hits as f64)),
-        ("misses".into(), JsonValue::Number(snap.misses as f64)),
-        (
-            "store_hits".into(),
-            JsonValue::Number(snap.store_hits as f64),
-        ),
-        (
-            "store_misses".into(),
-            JsonValue::Number(snap.store_misses as f64),
-        ),
-        (
-            "store_put_errors".into(),
-            JsonValue::Number(snap.store_put_errors as f64),
-        ),
+    let cache = obj([
+        ("legs", num(snap.legs)),
+        ("hits", num(snap.hits)),
+        ("misses", num(snap.misses)),
+        ("store_hits", num(snap.store_hits)),
+        ("store_misses", num(snap.store_misses)),
+        ("store_put_errors", num(snap.store_put_errors)),
     ]);
-    let server = JsonValue::Object(vec![
-        ("draining".into(), JsonValue::Bool(state.draining())),
+    let store = state.store.as_ref();
+    let server = obj([
+        ("draining", JsonValue::Bool(state.draining())),
+        ("open_connections", num(state.open_conns.load(Relaxed))),
+        ("in_flight", num(state.inflight.lock().unwrap().len())),
+        ("job_slots_free", num(*state.slots_free.lock().unwrap())),
         (
-            "open_connections".into(),
-            JsonValue::Number(state.open_conns.load(Relaxed) as f64),
+            "store_put_errors",
+            num(state.store_put_errors.load(Relaxed)),
         ),
         (
-            "in_flight".into(),
-            JsonValue::Number(state.inflight.lock().unwrap().len() as f64),
+            "store",
+            store.map_or(JsonValue::Null, |s| store_stats_value(s.stats())),
         ),
-        (
-            "job_slots_free".into(),
-            JsonValue::Number(*state.slots_free.lock().unwrap() as f64),
-        ),
-        (
-            "store_put_errors".into(),
-            JsonValue::Number(state.store_put_errors.load(Relaxed) as f64),
-        ),
-        (
-            "store".into(),
-            state
-                .store
-                .as_ref()
-                .map_or(JsonValue::Null, |s| store_stats_value(s.stats())),
-        ),
-        ("cache".into(), cache),
+        ("cache", cache),
     ]);
-    JsonValue::Object(vec![
-        ("status".into(), JsonValue::String("ok".into())),
-        ("server".into(), server),
-        ("trace".into(), trace),
-    ])
-    .to_compact()
+    let status = JsonValue::String("ok".into());
+    obj([("status", status), ("server", server), ("trace", trace)]).to_compact()
 }
 
 /// A minimal blocking client for tests, the `mtk client` subcommand,

@@ -10,8 +10,11 @@
 //! * `mtk screen --trace-deterministic` writes byte-identical JSON at
 //!   thread counts 1, 2 and 8 on a golden example.
 //! * `mtk gen <stem>` reproduces the checked-in golden file exactly.
-//! * A flag with a missing or unparsable value, or a sizing bracket
-//!   with `lo >= hi`, is a labelled error and exit 2.
+//! * A flag with a missing or unparsable value, a sizing bracket with
+//!   `lo >= hi`, a sleep W/L that is not finite and positive, or a
+//!   target that is not finite and non-negative, is a labelled error
+//!   and exit 2.
+//! * Each flow command's span covers the wall time of its phases.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -144,7 +147,7 @@ fn missing_file_and_missing_args_exit_two() {
 fn bad_flag_values_and_brackets_are_labelled_errors() {
     let path = golden("adder3");
     let path = path.to_str().unwrap();
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 10] = [
         (
             "screen",
             &["--threads", "abc"],
@@ -166,6 +169,31 @@ fn bad_flag_values_and_brackets_are_labelled_errors() {
             &["--lo", "5", "--hi", "1"],
             "error: invalid options: sizing bracket",
         ),
+        (
+            "screen",
+            &["--stride", "16", "--w-over-l", "0"],
+            "error: invalid options: sleep W/L",
+        ),
+        (
+            "screen",
+            &["--stride", "16", "--w-over-l", "nan"],
+            "error: invalid options: sleep W/L",
+        ),
+        (
+            "hybrid",
+            &["--stride", "16", "--w-over-l", "-1"],
+            "error: invalid options: sleep W/L",
+        ),
+        (
+            "size",
+            &["--stride", "16", "--target", "nan"],
+            "error: invalid options: degradation target",
+        ),
+        (
+            "size",
+            &["--stride", "16", "--target", "-1"],
+            "error: invalid options: degradation target",
+        ),
     ];
     for (cmd, flags, message) in cases {
         let mut args = vec![cmd, path];
@@ -177,7 +205,78 @@ fn bad_flag_values_and_brackets_are_labelled_errors() {
             "{flags:?}: {}",
             stderr(&out)
         );
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "{flags:?}: a bad option must not reach the work items: {}",
+            stderr(&out)
+        );
     }
+}
+
+#[test]
+fn each_command_span_covers_its_phases() {
+    // Full-mode traces: every flow command wraps its run in a span
+    // named after it, so the spans account for the work the phases
+    // time instead of being empty begin/end pairs.
+    let path = golden("adder3");
+    let path = path.to_str().unwrap();
+    let json = std::env::temp_dir().join(format!("mtk_cli_{}_spans.json", std::process::id()));
+    let json = json.to_str().unwrap();
+    let runs: [(&[&str], &[&str]); 6] = [
+        (&["screen", "--stride", "16"], &["screen"]),
+        (&["size", "--stride", "16"], &["size"]),
+        (
+            &["cluster", "--stride", "16", "--clusters", "2"],
+            &["cluster"],
+        ),
+        (&["hybrid", "--stride", "16", "--top-k", "1"], &["hybrid"]),
+        (
+            &[
+                "hybrid",
+                "--stride",
+                "16",
+                "--top-k",
+                "1",
+                "--clusters",
+                "2",
+            ],
+            &["cluster", "hybrid"],
+        ),
+        (&["mc", "--smoke", "--trials", "8"], &["mc"]),
+    ];
+    for (argv, span_names) in runs {
+        let mut args = vec![argv[0], path];
+        args.extend_from_slice(&argv[1..]);
+        args.extend_from_slice(&["--trace-json", json]);
+        let out = mtk(&args);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {}", stderr(&out));
+        let trace = mtk_trace::json::parse(&std::fs::read_to_string(json).unwrap()).unwrap();
+        let timing = trace.get("timing").expect("full-mode timing section");
+        let wall = |section: &str| -> Vec<(String, f64)> {
+            timing
+                .get(section)
+                .and_then(|v| v.as_array())
+                .unwrap()
+                .iter()
+                .map(|e| {
+                    let name = e.get("name").and_then(|n| n.as_str()).unwrap();
+                    let wall = e.get("wall_s").and_then(|w| w.as_f64()).unwrap();
+                    (name.to_string(), wall)
+                })
+                .collect()
+        };
+        let spans = wall("spans");
+        let names: Vec<&str> = spans.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, span_names, "{argv:?}");
+        let span_s: f64 = spans.iter().map(|(_, w)| w).sum();
+        let phase_s: f64 = wall("phases").iter().map(|(_, w)| w).sum();
+        assert!(phase_s > 0.0, "{argv:?}: phases record no wall time");
+        assert!(
+            span_s >= 0.5 * phase_s,
+            "{argv:?}: spans cover {span_s} s of {phase_s} s of phase wall time"
+        );
+    }
+    let _ = std::fs::remove_file(json);
 }
 
 #[test]

@@ -276,6 +276,30 @@ fn invalid_bracket_is_an_error_and_leaves_no_stale_job() {
         let retry = request(&addr, &line, Duration::from_secs(30)).expect("retry responds");
         assert_eq!(retry, first, "{cmd}");
     }
+    // A bad sleep W/L or target is the same kind of labelled error,
+    // raised before any work item runs (no caught panic per item, no
+    // misleading quarantine message).
+    for (cmd, extra, message) in [
+        ("screen", ",\"w_over_l\":0", "invalid options: sleep W/L"),
+        ("hybrid", ",\"w_over_l\":-1", "invalid options: sleep W/L"),
+        (
+            "size",
+            ",\"target\":-1",
+            "invalid options: degradation target",
+        ),
+        (
+            "cluster",
+            ",\"target\":-1",
+            "invalid options: degradation target",
+        ),
+    ] {
+        let line = job_line(cmd, extra);
+        let first = request(&addr, &line, CLIENT_TIMEOUT).expect("responds");
+        assert!(first.contains("\"status\":\"error\""), "{cmd}: {first}");
+        assert!(first.contains(message), "{cmd}: {first}");
+        let retry = request(&addr, &line, Duration::from_secs(30)).expect("retry responds");
+        assert_eq!(retry, first, "{cmd}");
+    }
     let status = request(&addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
     let server = parse(&status).expect("parses");
     let server = server.get("server").expect("server section");

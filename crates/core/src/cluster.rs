@@ -40,7 +40,7 @@ use crate::health::{
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::record;
-use crate::sizing::{check_bracket, Transition};
+use crate::sizing::{check_bracket, check_target, Transition};
 use crate::vbsim::{Engine, PartitionedSleep, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
@@ -488,7 +488,8 @@ impl ClusterReport {
 /// # Errors
 ///
 /// * [`CoreError::InvalidOptions`] unless both bracket bounds are
-///   finite and `0 < lo < hi`.
+///   finite and `0 < lo < hi`, and `target` is finite and
+///   non-negative.
 /// * [`CoreError::SizingInfeasible`] when even all-`hi` misses the
 ///   target.
 /// * Under [`FailurePolicy::FailFast`], the error of the
@@ -521,6 +522,7 @@ pub fn size_clusters_for_target(
         "partition must cover a non-empty netlist"
     );
     check_bracket(lo, hi)?;
+    check_target(target)?;
     let t0 = Instant::now();
     let n = partition.n_clusters;
     let outputs: Vec<NetId> = match probes {

@@ -13,7 +13,9 @@ use crate::health::{
     fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
-use crate::sizing::{screen_vectors_par_quarantined, DelayPair, ScreenedVector, Transition};
+use crate::sizing::{
+    check_w_over_l, screen_vectors_par_quarantined, DelayPair, ScreenedVector, Transition,
+};
 use crate::vbsim::{worst_delay_vs_baseline, VbsimOptions};
 use crate::CoreError;
 use mtk_netlist::expand::{expand, ExpandOptions, Expanded, SleepImpl};
@@ -484,6 +486,8 @@ fn verify_candidate(
 ///
 /// # Errors
 ///
+/// * [`CoreError::InvalidOptions`] unless `opts.w_over_l` is finite and
+///   positive, checked before either tier runs.
 /// * Screening failures per [`screen_vectors_par_quarantined`].
 /// * [`CoreError::Netlist`] when the netlist cannot be expanded to the
 ///   transistor level (checked once, before workers spawn).
@@ -495,6 +499,7 @@ pub fn run_hybrid(
     transitions: &[Transition],
     opts: &HybridOptions,
 ) -> Result<HybridReport, CoreError> {
+    check_w_over_l(opts.w_over_l)?;
     let (screened, screen_report) = screen_vectors_par_quarantined(
         netlist,
         tech,

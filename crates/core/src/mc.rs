@@ -46,7 +46,7 @@ use crate::health::{
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::record;
-use crate::sizing::{DelayPair, Transition};
+use crate::sizing::{check_target, check_w_over_l, DelayPair, Transition};
 use crate::vbsim::{worst_delay_vs_baseline, Engine, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::netlist::{NetId, Netlist};
@@ -537,18 +537,9 @@ pub fn run_mc(
             "mc needs at least one trial".into(),
         ));
     }
-    if !(opts.target.is_finite() && opts.target >= 0.0) {
-        return Err(CoreError::InvalidOptions(format!(
-            "mc target must be finite and non-negative, got {}",
-            opts.target
-        )));
-    }
+    check_target(opts.target)?;
     for &w in opts.widths.iter().chain([&opts.w_over_l]) {
-        if !(w.is_finite() && w > 0.0) {
-            return Err(CoreError::InvalidOptions(format!(
-                "mc sleep widths must be finite and positive, got {w}"
-            )));
-        }
+        check_w_over_l(w)?;
     }
     let t0 = Instant::now();
     let key_prefix = record::trial_key_prefix(netlist, tech, transitions, probes, opts);

@@ -555,6 +555,8 @@ impl ScreenReport {
 ///
 /// # Errors
 ///
+/// * [`CoreError::InvalidOptions`] unless `w_over_l` is finite and
+///   positive.
 /// * Under [`FailurePolicy::FailFast`], the error of the lowest-indexed
 ///   failing transition.
 /// * Under [`FailurePolicy::Quarantine`],
@@ -572,6 +574,7 @@ pub fn screen_vectors_par_quarantined(
     policy: FailurePolicy,
     fault: &FaultPlan,
 ) -> Result<(Vec<ScreenedVector>, ScreenReport), CoreError> {
+    check_w_over_l(w_over_l)?;
     let t0 = Instant::now();
     let (reports, workers) = try_parallel_map_with(
         threads,
@@ -619,6 +622,39 @@ pub(crate) fn check_bracket(lo: f64, hi: f64) -> Result<(), CoreError> {
     }
 }
 
+/// Checks a sleep-device W/L: finite and `> 0`. Like the bracket, it
+/// usually comes from a flag or a request field, so a bad one is a
+/// labelled error before any work item runs, not one caught panic per
+/// item.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidOptions`] naming the rejected size.
+pub(crate) fn check_w_over_l(w_over_l: f64) -> Result<(), CoreError> {
+    if w_over_l.is_finite() && w_over_l > 0.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidOptions(format!(
+            "sleep W/L must be finite and positive, got {w_over_l}"
+        )))
+    }
+}
+
+/// Checks a fractional degradation target: finite and `>= 0`.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidOptions`] naming the rejected target.
+pub(crate) fn check_target(target: f64) -> Result<(), CoreError> {
+    if target.is_finite() && target >= 0.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidOptions(format!(
+            "degradation target must be finite and non-negative, got {target}"
+        )))
+    }
+}
+
 /// Binary-searches the smallest sleep W/L whose worst degradation over
 /// the given transitions is at most `target` (e.g. `0.05` for the
 /// paper's 5 % criterion), within `[lo, hi]`.
@@ -626,7 +662,7 @@ pub(crate) fn check_bracket(lo: f64, hi: f64) -> Result<(), CoreError> {
 /// # Errors
 ///
 /// * [`CoreError::InvalidOptions`] unless both bounds are finite and
-///   `0 < lo < hi`.
+///   `0 < lo < hi`, and `target` is finite and non-negative.
 /// * [`CoreError::SizingInfeasible`] when even `hi` misses the target.
 /// * Propagates simulator errors.
 pub fn size_for_target(
@@ -663,6 +699,7 @@ pub fn size_for_target_cached(
     cache: &ScreeningCache,
 ) -> Result<(f64, RunHealth), CoreError> {
     check_bracket(lo, hi)?;
+    check_target(target)?;
     let mut health = RunHealth::default();
     let mut scratch = VbsimScratch::new();
     let worst_degradation =
@@ -1002,6 +1039,44 @@ mod tests {
             assert!(
                 matches!(err, CoreError::InvalidOptions(_)),
                 "{bracket:?}: {err:?}"
+            );
+        }
+        // A target that is NaN or negative is rejected before the
+        // bisection runs, instead of sizing to W/L = lo or bisecting up
+        // to `hi`.
+        for target in [f64::NAN, -1.0, f64::INFINITY] {
+            let err = size_for_target(
+                &engine,
+                std::slice::from_ref(&tr),
+                None,
+                target,
+                (1.0, 2000.0),
+                &VbsimOptions::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidOptions(_)),
+                "target {target}: {err:?}"
+            );
+        }
+        // A bad sleep W/L is one labelled error, not a caught panic per
+        // work item (a quarantining policy would otherwise swallow them).
+        for w_over_l in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = screen_vectors_par_quarantined(
+                &tree.netlist,
+                &tech,
+                std::slice::from_ref(&tr),
+                None,
+                w_over_l,
+                &VbsimOptions::default(),
+                2,
+                FailurePolicy::quarantine(32),
+                &FaultPlan::none(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidOptions(_)),
+                "W/L {w_over_l}: {err:?}"
             );
         }
     }

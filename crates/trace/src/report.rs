@@ -305,13 +305,21 @@ impl TraceReport {
         out
     }
 
-    /// Serializes the report under the versioned schema.
+    /// Serializes the report under the versioned schema: the pretty
+    /// rendering of [`TraceReport::to_json_value`].
     ///
     /// [`TraceMode::Deterministic`] emits only the schedule-invariant
     /// sections and is byte-identical at any thread count;
     /// [`TraceMode::Full`] adds the `timing` section (phase wall times,
     /// per-worker sinks, spans).
     pub fn to_json(&self, mode: TraceMode) -> String {
+        self.to_json_value(mode).to_pretty()
+    }
+
+    /// The report as a JSON value under the versioned schema, for
+    /// embedding in a larger document (an `mtk serve` response) without
+    /// a render-and-reparse round trip.
+    pub fn to_json_value(&self, mode: TraceMode) -> JsonValue {
         let mut members = vec![
             (
                 "schema".into(),
@@ -354,7 +362,7 @@ impl TraceReport {
                 ]),
             ));
         }
-        JsonValue::Object(members).to_pretty()
+        JsonValue::Object(members)
     }
 
     /// Renders the human-readable telemetry footer shared by every
@@ -441,6 +449,20 @@ mod tests {
             }],
         });
         report
+    }
+
+    #[test]
+    fn json_value_is_the_parsed_rendering() {
+        // Embedding the value (as `mtk serve` does) must give the bytes a
+        // render-and-reparse round trip gave, in both modes.
+        let mut report = sample_report();
+        report.phases[0].wall_s = Some(f64::NAN);
+        for mode in [TraceMode::Full, TraceMode::Deterministic] {
+            let value = report.to_json_value(mode);
+            let reparsed = crate::json::parse(&report.to_json(mode)).unwrap();
+            assert_eq!(value.to_compact(), reparsed.to_compact());
+            assert_eq!(value.to_pretty(), report.to_json(mode));
+        }
     }
 
     #[test]

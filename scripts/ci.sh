@@ -21,6 +21,9 @@ cargo build --release
 echo "== tier 1: test suite =="
 cargo test -q
 
+echo "== perfbench self-tests (the benchmark drives mtk_bench::serve and the core entry points) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fault-tolerance contract (quarantine/panic isolation) =="
 cargo test -q --test fault_injection
 
