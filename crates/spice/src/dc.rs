@@ -1,7 +1,7 @@
 //! DC operating-point analysis.
 
 use crate::circuit::{Circuit, DeviceKind, NodeId};
-use crate::solver::{branch_indices, NewtonOptions, NewtonSolver, StampMode};
+use crate::solver::{NewtonOptions, NewtonSolver, StampMode};
 use crate::Result;
 
 /// Options for the operating-point solve.
@@ -42,10 +42,12 @@ pub struct DcResult {
     /// Newton iterations spent over the whole solve, including a failed
     /// direct attempt that forced the continuation ladder.
     pub newton_iterations: usize,
-    /// Factorizations that reused the solver's cached symbolic phase
-    /// (sparsity pattern + ordering), see
-    /// [`crate::solver::NewtonSolver::lu_pattern_reuses`].
+    /// Factorizations that replayed the solver's recorded elimination,
+    /// see [`crate::solver::NewtonSolver::lu_pattern_reuses`].
     pub lu_pattern_reuses: usize,
+    /// Factorizations that ran the full pivoting elimination, see
+    /// [`crate::solver::NewtonSolver::lu_full_eliminations`].
+    pub lu_full_eliminations: usize,
 }
 
 impl DcResult {
@@ -114,9 +116,10 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
 
     // Fast path: most circuits converge directly at the final gmin from
     // a cold start, skipping the whole continuation ladder.
+    let mut x = vec![0.0; solver.unknowns()];
     let direct = solver.solve(
         circuit,
-        &vec![0.0; solver.unknowns()],
+        &mut x,
         StampMode::Dc {
             gmin: final_gmin,
             force_ics: opts.force_ics,
@@ -124,23 +127,27 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
         &opts.newton,
         "dc operating point (direct)",
     );
-    let (x, gmin_fallback_stages) = match direct {
-        Ok((x, _)) => (x, 0),
+    let gmin_fallback_stages = match direct {
+        Ok(_) => 0,
         Err(_) => {
-            // Fallback: walk the full ladder, warm-starting each stage
-            // from the previous one — what lets Newton converge on stiff
-            // stacked-MOSFET circuits.
-            let mut x = vec![0.0; solver.unknowns()];
+            // Fallback: walk the full ladder from a cold start,
+            // warm-starting each stage from the previous one — what lets
+            // Newton converge on stiff stacked-MOSFET circuits.
+            x.fill(0.0);
             for (stage, &gmin) in steps.iter().enumerate() {
                 let mode = StampMode::Dc {
                     gmin,
                     force_ics: opts.force_ics,
                 };
-                let ctx = format!("dc operating point (gmin stage {stage}: {gmin:.1e})");
-                let (x_new, _) = solver.solve(circuit, &x, mode, &opts.newton, &ctx)?;
-                x = x_new;
+                solver.solve(
+                    circuit,
+                    &mut x,
+                    mode,
+                    &opts.newton,
+                    format_args!("dc operating point (gmin stage {stage}: {gmin:.1e})"),
+                )?;
             }
-            (x, steps.len())
+            steps.len()
         }
     };
     let branch_names = circuit
@@ -149,7 +156,6 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
         .filter(|d| matches!(d.kind, DeviceKind::Vsource { .. }))
         .map(|d| d.name.clone())
         .collect();
-    let _ = branch_indices(circuit);
     Ok(DcResult {
         x,
         n_nodes: circuit.node_count() - 1,
@@ -157,6 +163,7 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
         gmin_fallback_stages,
         newton_iterations: solver.total_iterations(),
         lu_pattern_reuses: solver.lu_pattern_reuses(),
+        lu_full_eliminations: solver.lu_full_eliminations(),
     })
 }
 

@@ -85,8 +85,9 @@ counter_registry! {
     NewtonIterations => ("newton_iterations", Sum),
     /// Accepted SPICE transient steps.
     SpiceSteps => ("spice_steps", Sum),
-    /// LU factorizations that reused a solver's cached symbolic phase
-    /// (sparsity pattern + fill-reducing order) instead of recomputing it.
+    /// LU factorizations that replayed a solver's recorded elimination
+    /// (pivot sequence + fill structure) instead of running the full
+    /// pivoting elimination.
     LuPatternReuses => ("lu_pattern_reuses", Sum),
     /// Simulator legs replayed from the persistent on-disk result store.
     StoreHits => ("store_hits", Sum),

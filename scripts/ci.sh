@@ -156,6 +156,24 @@ cargo run --release -p mtk-bench --bin ext_screening -- \
 echo "== smoke trace validates against the documented schema =="
 cargo run --release -p mtk-bench --bin trace_check -- "$trace_json"
 
+echo "== mtk hybrid: thread-invariant trace that counts the SPICE work =="
+# The verify phase folds each candidate's transient counters in rank
+# order, so the deterministic trace is byte-identical at 1 and 2 threads,
+# and it must report the Newton iterations and steps it ran.
+hyb_1="$work/hybrid_1.json"
+hyb_2="$work/hybrid_2.json"
+for t in 1 2; do
+  target/release/mtk hybrid examples/adder3.mtk --top-k 2 --threads "$t" \
+    --trace-deterministic --trace-json "$work/hybrid_$t.json" >/dev/null
+done
+cmp "$hyb_1" "$hyb_2" || { echo "ci: hybrid trace differs between 1 and 2 threads"; exit 1; }
+hyb_verify="$(sed -n '/"name": "verify"/,/"histograms"/p' "$hyb_1")"
+for key in newton_iterations spice_steps; do
+  grep -q "\"$key\": [1-9]" <<<"$hyb_verify" || {
+    echo "ci: hybrid verify phase reports no $key"; exit 1; }
+done
+cargo run --release -p mtk-bench --bin trace_check -- "$hyb_1"
+
 echo "== serve smoke: store-backed replay + graceful SIGTERM drain =="
 # Starts `mtk serve` with a persistent store on an ephemeral port, runs
 # the same hybrid job twice (the second must be a byte-identical store
