@@ -12,7 +12,7 @@ use mtk_core::model::{solve_vx, VxOptions};
 use mtk_core::vbsim::{Engine, VbsimOptions};
 use mtk_netlist::logic::Logic;
 use mtk_netlist::tech::Technology;
-use mtk_num::sparse::Triplets;
+use mtk_num::sparse::{LuWorkspace, Triplets};
 use std::hint::black_box;
 
 fn bench_vx_solver() {
@@ -101,6 +101,16 @@ fn bench_sparse_lu() {
     bench("sparse_lu/factor_solve_500", 5, 50, || {
         let lu = black_box(&t).factor().unwrap();
         black_box(lu.solve(black_box(&b)).unwrap());
+    });
+    // The Newton-loop path: after the first call the workspace replays
+    // the recorded elimination (same bits, no row merges).
+    let rows = t.to_rows();
+    let mut ws = LuWorkspace::new();
+    let mut x = Vec::new();
+    bench("sparse_lu/replay_factor_solve_500", 5, 50, || {
+        ws.factor_solve(black_box(&rows), black_box(&b), &mut x)
+            .unwrap();
+        black_box(&x);
     });
 }
 
